@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import hashlib
 import io
 import json
@@ -53,10 +52,14 @@ BLAS_THREADS = str(min(2, os.cpu_count() or 1))
 SETUP_PROBES = 5
 # Acceptance gates are checked at MC_Z Monte Carlo standard errors.
 MC_Z = 4.0
-# Sign-test level for gates stated on a median over replications.
-SIGN_TEST_LEVEL = 0.01
-# Largest share of the traced wall time that no span may cover.
+# Per-replication floors of the neg_bvm escaping masses; README.md gives
+# the replications they were set from and their false-fail rate.
+FULL_THRESHOLD_FLOOR = 0.1
+FITTED_ZONE_FLOOR = 0.2
+# Largest share of the traced wall time that no span may cover, and that
+# the catch-all ``cli`` span may keep as self time.
 MAX_UNATTRIBUTED = 0.02
+MAX_CLI_SELF = 0.02
 DIAM_REPS = 10           # harness default, as in acceptance criterion 8
 FLOAT_BYTES = 8
 
@@ -73,7 +76,7 @@ class Workload:
     columns: tuple
     optional: tuple              # columns allowed to be NaN
     rows_per_rep: bool           # one report row per replication
-    check: Callable              # (reports) -> [(name, ok, detail)]
+    check: Callable              # (reports) -> [(name, ok, detail)]; ok None is a note
     expected_calls: tuple        # traced functions each call must reach
 
 
@@ -139,32 +142,30 @@ def check_band_coverage(batches):
     return out
 
 
-def _sign_test_p(successes, trials):
-    """P(X <= successes) for X ~ Binomial(trials, 1/2)."""
-    return sum(math.comb(trials, k) for k in range(successes + 1)) / 2 ** trials
-
-
 def check_neg_bvm(batches):
-    """Criterion 9: median escaping mass above 0.9 under full thresholding
-    and below 0.5 under the fitted zone.  The full-threshold mass is bimodal
-    across observations, so its median gate is a one-sided sign test; the
-    fitted-zone mass is stable and its median is checked directly."""
+    """Criterion 9, checked on every replication: the full-threshold
+    escaping mass is at least FULL_THRESHOLD_FLOOR, and the fitted-zone mass
+    is at least FITTED_ZONE_FLOOR and below 0.5 within Monte Carlo
+    tolerance.  Criterion 9 itself states the full-threshold median above
+    0.9; a run has one or two replications, so how many exceed 0.9 is
+    reported as a note, not checked."""
     rows = [r for b in batches for r in b.rows]
     draws = batches[0].meta["draws"]
     full = [r["escaping_mass_full_threshold"] for r in rows]
     fitted = [r["escaping_mass_fitted_zone"] for r in rows]
-    above = sum(m > 0.9 for m in full)
-    p = _sign_test_p(above, len(full))
     tol = MC_Z * math.sqrt(0.25 / draws)
-    med_fit = statistics.median(fitted)
+    above = sum(m > 0.9 for m in full)
     margin = min(r["selfsim_margin"] for r in rows)
     return [
-        ("full-threshold median > 0.9", p >= SIGN_TEST_LEVEL,
-         f"{above}/{len(full)} reps above 0.9, median={statistics.median(full):.3f} "
-         f"sign-test p={p:.3g} level={SIGN_TEST_LEVEL}"),
-        ("fitted-zone median < 0.5", med_fit < 0.5 + tol,
-         f"median={med_fit:.3f} tol={tol:.3f} over {len(fitted)} reps"),
+        ("full-threshold mass >= floor in every rep", min(full) >= FULL_THRESHOLD_FLOOR,
+         f"min={min(full):.3f} floor={FULL_THRESHOLD_FLOOR} over {len(full)} reps"),
+        ("fitted-zone mass in window in every rep",
+         min(fitted) >= FITTED_ZONE_FLOOR and max(fitted) < 0.5 + tol,
+         f"range=[{min(fitted):.3f}, {max(fitted):.3f}] "
+         f"window=[{FITTED_ZONE_FLOOR}, {0.5 + tol:.3f}) over {len(fitted)} reps"),
         ("self-similarity margin >= 0.9", margin >= 0.9, f"margin={margin:.3f}"),
+        ("criterion 9 full-threshold median > 0.9", None,
+         f"{above}/{len(full)} reps above 0.9, median={statistics.median(full):.3f}"),
     ]
 
 
@@ -234,26 +235,20 @@ def batch_argv(wl, seed, index, out_dir):
                             "--seed", str(batch_seed(seed, index)), "--out", out_dir]
 
 
-def read_report(path):
-    """sha256, meta, columns and float rows of an emitted CSV report."""
+def read_report(prog, path):
+    """sha256, meta, columns and rows of an emitted report."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    lines = data.decode().splitlines()
-    if not lines or not lines[0].startswith("# "):
-        raise ValueError("missing meta header line")
-    meta = json.loads(lines[0][2:])
-    table = list(csv.reader(lines[1:]))
-    columns = tuple(table[0]) if table else ()
-    rows = [dict(zip(columns, map(float, r))) for r in table[1:]]
-    return hashlib.sha256(data).hexdigest(), meta, columns, rows
+        sha = hashlib.sha256(fh.read()).hexdigest()
+    report = prog.harness.parse_report(path)
+    return sha, report.meta, report.columns, report.row_dicts()
 
 
-def validate(wl, batch, path):
+def validate(prog, wl, batch, path):
     if batch.code != 0:
         batch.problems.append(f"exit code {batch.code}")
     try:
-        batch.sha256, batch.meta, columns, batch.rows = read_report(path)
-    except (OSError, ValueError) as exc:
+        batch.sha256, batch.meta, columns, batch.rows = read_report(prog, path)
+    except (OSError, ValueError, IndexError, KeyError) as exc:
         batch.problems.append(f"unreadable report: {exc}")
         return
     if batch.meta.get("kind") != wl.kind:
@@ -268,7 +263,8 @@ def validate(wl, batch, path):
     if len(batch.rows) != want:
         batch.problems.append(f"{len(batch.rows)} rows, expected {want}")
     for row in batch.rows:
-        bad = [c for c in wl.columns if c not in wl.optional and not math.isfinite(row[c])]
+        bad = [c for c in wl.columns if c not in wl.optional
+               and not (isinstance(row[c], (int, float)) and math.isfinite(row[c]))]
         if bad:
             batch.problems.append(f"non-finite {bad}")
         if "replications" in row and row["replications"] != batch.reps:
@@ -294,7 +290,7 @@ def run_batch(prog, wl, seed, index, out_dir, tracer=None):
             traceback.print_exc()
             batch.code = 1
     batch.seconds = time.perf_counter() - t0
-    validate(wl, batch, path)
+    validate(prog, wl, batch, path)
     return batch
 
 
@@ -472,9 +468,15 @@ def run_traced(prog, wl, args, out_dir):
                    f"missing {missing}" if missing else f"{len(wl.expected_calls)} functions"))
     metrics = layer_metrics(tracer, max(reps, 1), wall, median_rate(plain),
                             median_rate(traced))
+    # Self times add up to the cli spans by construction, so the first check
+    # bounds only the loop's time outside cli.main; the second shows time
+    # that a missed wrap leaves in the catch-all cli span.
     gap = metrics["trace.unattributed_frac"][0]
     checks.append(("self times cover traced wall time", gap <= MAX_UNATTRIBUTED,
                    f"unattributed={gap:.4f} max={MAX_UNATTRIBUTED}"))
+    cli_share = metrics["cli.self_s"][0] / metrics["trace.wall_s"][0]
+    checks.append(("cli self time small", cli_share <= MAX_CLI_SELF,
+                   f"cli.self_s share={cli_share:.4f} max={MAX_CLI_SELF}"))
     return plain + traced, wall, metrics, checks, tracer
 
 
@@ -501,7 +503,7 @@ def run_one(args):
 
     attempted = sum(b.reps for b in batches)
     failed = attempted - completed(batches)
-    correct = failed == 0 and all(ok for _, ok, _ in checks)
+    correct = failed == 0 and all(ok is not False for _, ok, _ in checks)
     share = min(wl.reps_per_call, DIAM_REPS) / wl.reps_per_call
     print(f"workload {args.workload}: {len(batches)} calls of {wl.reps_per_call} "
           f"replication(s) in {wall:.2f} s; trace={args.trace}")
@@ -511,7 +513,7 @@ def run_one(args):
         print(f"  {name} = {value:.6g} {unit}")
     print(f"  failed_rep_frac = {failed / attempted:.6g} ({failed}/{attempted})")
     for name, ok, detail in checks:
-        print(f"  {'PASS' if ok else 'FAIL'} {name}: {detail}")
+        print(f"  {'NOTE' if ok is None else 'PASS' if ok else 'FAIL'} {name}: {detail}")
     print("env " + json.dumps(env, sort_keys=True))
 
     sidecar = {"env": env, "workload": args.workload, "argv": list(wl.argv),
