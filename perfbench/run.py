@@ -1,12 +1,13 @@
 """credlab benchmark: drives the public CLI (``credlab.cli.main``) in one
 process as a closed loop with one caller.
 
-    python3 perfbench/run.py --workload l2_joint --seed 1 --seconds 20 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload l2_joint --seed 1 --seconds 36 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 36 --trace 0
 
 Each workload is a fixed CLI command.  The loop calls it back to back, each
-call with its own master seed derived from ``--seed``, until ``--seconds``
-have passed; the call running at that moment is completed and counted.
+call with its own master seed derived from ``--seed``, for about
+``--seconds``: it stops when the next call would pass its midpoint after
+``--seconds``, judged by the median duration of the calls so far.
 Every emitted report is checked for well-formedness, hashed with sha256 and
 checked against the workload's acceptance gates.
 
@@ -49,7 +50,7 @@ SETUP_PROBE = os.path.join(HERE, "setup_probe.py")
 
 # The benchmark machine has two cores; no run uses more BLAS threads.
 BLAS_THREADS = str(min(2, os.cpu_count() or 1))
-SETUP_PROBES = 5
+SETUP_PROBES = 9
 # Acceptance gates are checked at MC_Z Monte Carlo standard errors.
 MC_Z = 4.0
 # Per-replication floors of the neg_bvm escaping masses; README.md gives
@@ -147,7 +148,7 @@ def check_neg_bvm(batches):
     escaping mass is at least FULL_THRESHOLD_FLOOR, and the fitted-zone mass
     is at least FITTED_ZONE_FLOOR and below 0.5 within Monte Carlo
     tolerance.  Criterion 9 itself states the full-threshold median above
-    0.9; a run has one or two replications, so how many exceed 0.9 is
+    0.9; a run has a handful of replications, so how many exceed 0.9 is
     reported as a note, not checked."""
     rows = [r for b in batches for r in b.rows]
     draws = batches[0].meta["draws"]
@@ -195,7 +196,7 @@ WORKLOADS = {
             "slabspike.sample", "credsets.build_set", "credsets.calibrate_radius",
             "credsets.membership", "credsets.diameter_estimate")),
     "neg_bvm": Workload(
-        argv=("neg-bvm",),
+        argv=("neg-bvm", "--draws", "500"),
         reps_per_call=1, kind="negative_bvm",
         columns=("rep", "n", "test_position", "test_level", "Mn",
                  "escaping_mass_full_threshold", "escaping_mass_fitted_zone",
@@ -295,11 +296,21 @@ def run_batch(prog, wl, seed, index, out_dir, tracer=None):
 
 
 def run_loop(prog, wl, seed, out_dir, seconds=None, count=None, tracer=None):
-    """Back-to-back calls until ``seconds`` have passed or ``count`` calls
-    have run; returns the batches and the loop's wall time."""
+    """Back-to-back calls until ``count`` calls have run or, with ``seconds``,
+    until the next call, expected to take as long as the median call so far,
+    would pass its midpoint after ``seconds``; the first call always runs.
+    The loop so ends within half a call of ``seconds``.  Returns the batches
+    and the loop's wall time."""
     batches = []
     t0 = time.perf_counter()
-    while (len(batches) < count) if count is not None else (time.perf_counter() - t0 < seconds):
+    while True:
+        if count is not None:
+            if len(batches) >= count:
+                break
+        elif batches:
+            expected = statistics.median(b.seconds for b in batches)
+            if time.perf_counter() - t0 + expected / 2 > seconds:
+                break
         batches.append(run_batch(prog, wl, seed, len(batches), out_dir, tracer))
     return batches, time.perf_counter() - t0
 
