@@ -8,6 +8,7 @@ supplied through a KEY=VALUE config file via --config; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -65,6 +66,8 @@ def _parse_list(text: str, cast):
 
 
 def make_config(args: argparse.Namespace) -> harness.ExperimentConfig:
+    """Preset for the subcommand with config-file values and flags applied;
+    the result is validated again after the overrides."""
     cfg = harness.ExperimentConfig.defaults(SUBCOMMANDS[args.command])
     file_vals = read_config_file(args.config) if args.config else {}
 
@@ -72,26 +75,18 @@ def make_config(args: argparse.Namespace) -> harness.ExperimentConfig:
         v = getattr(args, flag, None)
         return v if v is not None else file_vals.get(file_key or flag)
 
-    n = pick("n")
-    if n is not None:
-        cfg.n_list = _parse_list(str(n), float)
-    gamma = pick("gamma")
-    if gamma is not None:
-        cfg.gamma_list = _parse_list(str(gamma), float)
-    for flag, attr, cast in (("draws", "draws", int), ("reps", "reps", int),
-                             ("seed", "seed", int), ("prior", "prior", str),
-                             ("signal", "signal", str), ("format", "fmt", str)):
-        v = pick(flag)
-        if v is not None:
-            setattr(cfg, attr, cast(v))
+    overrides = (("n", "n_list", lambda v: _parse_list(str(v), float)),
+                 ("gamma", "gamma_list", lambda v: _parse_list(str(v), float)),
+                 ("draws", "draws", int), ("reps", "reps", int),
+                 ("seed", "seed", int), ("prior", "prior", str),
+                 ("signal", "signal", str), ("format", "fmt", str))
+    fields = {attr: cast(pick(flag)) for flag, attr, cast in overrides
+              if pick(flag) is not None}
     out = pick("out")
-    cfg.out_dir = str(out) if out is not None else "reports"
-    for key, val in file_vals.items():
-        if key in ("n", "gamma", "draws", "reps", "seed", "prior", "signal",
-                   "out", "format"):
-            continue
-        cfg.extras[key] = val
-    return cfg
+    fields["out_dir"] = str(out) if out is not None else "reports"
+    known = {flag for flag, _, _ in overrides} | {"out"}
+    fields["extras"] = {key: val for key, val in file_vals.items() if key not in known}
+    return dataclasses.replace(cfg, **fields)
 
 
 def main(argv=None) -> int:

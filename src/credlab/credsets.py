@@ -1,13 +1,13 @@
 """Quantile calibration of credible radii and every credible-set geometry:
 plain balls in H(delta), l2, M(w) and sup norms, the smoothness-intersected
-variants, the two-stage multiscale band, and pointwise bands.
+variants and the two-stage multiscale band; pointwise bands for comparison.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -32,10 +32,9 @@ H_DELTA_HB = "HDeltaIntersectHB"
 MULTISCALE_BALL = "MultiscaleBall"
 MULTISCALE_BAND = "MultiscaleBand"
 SUP_BALL = "SupBall"
-POINTWISE_BAND = "PointwiseBand"
 
 _VARIANTS = (L2_BALL, H_DELTA_BALL, H_DELTA_EB, H_DELTA_HB,
-             MULTISCALE_BALL, MULTISCALE_BAND, SUP_BALL, POINTWISE_BAND)
+             MULTISCALE_BALL, MULTISCALE_BAND, SUP_BALL)
 
 CENTER_SHIFT = "shift_estimator_Y"
 CENTER_POSTERIOR_MEAN = "posterior_mean"
@@ -64,7 +63,6 @@ class CredibleSetSpec:
     smooth_C: float = SMOOTH_C
     smooth_eps_num: float = SMOOTH_EPS_NUM
     hb_Mn: Optional[float] = None   # default log log n
-    grid: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
@@ -73,8 +71,6 @@ class CredibleSetSpec:
             raise ValueError("gamma must lie in (0,1)")
         if self.variant in (MULTISCALE_BALL, MULTISCALE_BAND) and self.weights is None:
             raise ValueError(f"{self.variant} requires a weight sequence")
-        if self.variant == POINTWISE_BAND and self.grid is None:
-            raise ValueError("PointwiseBand requires an evaluation grid")
 
 
 @dataclass(frozen=True)
@@ -120,28 +116,30 @@ class CalibratedCredibleSet:
     primary_norm: NormSpec
     second: Optional[SecondConstraint] = None
     band: Optional[BandConstraint] = None
-    pointwise_lo: Optional[np.ndarray] = None
-    pointwise_hi: Optional[np.ndarray] = None
 
     # -- membership ---------------------------------------------------------
 
     def primary_distance(self, f):
         return norm(np.asarray(f) - self.center, self.primary_norm, self.basis)
 
-    def membership(self, draws) -> np.ndarray:
-        """Vectorized membership for a draw matrix (rows are draws)."""
+    def membership(self, draws, radii=None) -> np.ndarray:
+        """Vectorized membership for a draw matrix (rows are draws).
+
+        With ``radii`` the result has one row per primary radius, each used
+        in place of ``self.radius``: given the radii of the sets one
+        ``build_set`` call returns, the rows are their memberships, computed
+        from one distance vector per constraint.
+        """
         arr = np.atleast_2d(np.asarray(draws, dtype=float))
-        ok = self.primary_distance(arr) <= self.radius
+        d = self.primary_distance(arr)
+        ok = d <= self.radius if radii is None else d <= np.asarray(radii)[:, None]
         if self.second is not None:
             d2 = norm(arr - self.second.center, self.second.norm_spec, self.basis)
             ok &= d2 <= self.second.radius
         if self.band is not None:
             dsup = norm(arr - self.band.center, NormSpec.sup(), self.basis)
             ok &= dsup <= self.band.sigma
-        if self.spec.variant == POINTWISE_BAND:
-            vals = seqmodel.evaluate_function(arr, self.spec.grid, self.basis)
-            ok &= np.all((vals >= self.pointwise_lo) & (vals <= self.pointwise_hi), axis=-1)
-        return ok if np.ndim(draws) > 1 else bool(ok[0])
+        return ok if np.ndim(draws) > 1 or radii is not None else bool(ok[0])
 
     def contains(self, f) -> MembershipReport:
         f = np.asarray(f, dtype=float)
@@ -160,13 +158,6 @@ class CalibratedCredibleSet:
             distances["band"] = dsup
             if dsup > self.band.sigma:
                 return MembershipReport(False, "band", distances)
-        if self.spec.variant == POINTWISE_BAND:
-            vals = seqmodel.evaluate_function(f, self.spec.grid, self.basis)
-            inside = np.all((vals >= self.pointwise_lo) & (vals <= self.pointwise_hi))
-            distances["pointwise"] = float(np.max(np.maximum(self.pointwise_lo - vals,
-                                                             vals - self.pointwise_hi)))
-            if not inside:
-                return MembershipReport(False, "pointwise", distances)
         return MembershipReport(True, None, distances)
 
     def to_json(self) -> str:
@@ -194,18 +185,23 @@ class CalibratedCredibleSet:
 # calibration
 # ---------------------------------------------------------------------------
 
-def calibrate_radius(draws, center, norm_spec: NormSpec, gamma: float,
-                     basis: Optional[BasisSpec] = None) -> float:
+def calibrate_radius(draws, center, norm_spec: NormSpec, gamma,
+                     basis: Optional[BasisSpec] = None):
     """Radius as the ceil((1-gamma) M)-th order statistic of the draw-center
-    distances (lower empirical quantile convention)."""
+    distances (lower empirical quantile convention).
+
+    For a sequence of levels ``gamma`` the result is a list of radii, one per
+    level, read from one sorted distance vector.
+    """
     arr = draws.draws if isinstance(draws, PosteriorDrawSet) else np.asarray(draws)
+    levels = tuple(gamma) if np.ndim(gamma) else (gamma,)
     if arr.shape[0] < 20:
         raise ValueError("need at least 20 draws to calibrate a radius")
-    if not 0 < gamma < 1:
+    if not all(0 < g < 1 for g in levels):
         raise ValueError("gamma must lie in (0,1)")
-    d = norm(arr - np.asarray(center), norm_spec, basis)
-    r = math.ceil((1.0 - gamma) * arr.shape[0])
-    return float(np.sort(d)[r - 1])
+    d = np.sort(norm(arr - np.asarray(center), norm_spec, basis))
+    radii = [float(d[math.ceil((1.0 - g) * arr.shape[0]) - 1]) for g in levels]
+    return radii if np.ndim(gamma) else radii[0]
 
 
 def sigma_band_width(support: np.ndarray, basis: BasisSpec, n: float, vn: float,
@@ -242,17 +238,23 @@ def pointwise_band(draws, basis: BasisSpec, grid, gamma: float):
     return lo, hi
 
 
-def build_set(spec: CredibleSetSpec, draws, byproducts: PosteriorByproducts) -> CalibratedCredibleSet:
-    """Assemble the declared geometry.
+def build_set(spec: CredibleSetSpec, draws, byproducts: PosteriorByproducts,
+              gammas=None):
+    """Assemble the declared geometry at level ``spec.gamma``, or with
+    ``gammas`` a list of sets, one per level.
 
-    The primary radius is always calibrated before intersecting, so a plain
-    ball and its intersected variant share the same primary radius.
+    The sets of one call share their center and their smoothness or band
+    constraint, none of which depends on gamma; their primary radii come from
+    one sorted distance vector.  The primary radius is always calibrated
+    before intersecting, so a plain ball and its intersected variant share
+    the same primary radius.
     """
     obs = byproducts.obs
     basis = obs.basis
     arr = draws.draws if isinstance(draws, PosteriorDrawSet) else np.asarray(draws)
     n = obs.n
     logn = math.log(n)
+    levels = tuple(gammas) if gammas is not None else (spec.gamma,)
 
     def center_for(rule):
         if rule == CENTER_SHIFT:
@@ -267,18 +269,21 @@ def build_set(spec: CredibleSetSpec, draws, byproducts: PosteriorByproducts) -> 
             return byproducts.efficient_center
         raise ValueError(f"unknown center rule {rule!r}")
 
+    def calibrated(center, pnorm, **constraints):
+        specs = [replace(spec, gamma=g) for g in levels]
+        radii = calibrate_radius(arr, center, pnorm, levels, basis)
+        sets = [CalibratedCredibleSet(s, basis, center, r, pnorm, **constraints)
+                for s, r in zip(specs, radii)]
+        return sets if gammas is not None else sets[0]
+
     variant = spec.variant
     if variant == L2_BALL:
         center = center_for(spec.center_rule if spec.center_rule != CENTER_SHIFT
                             else CENTER_POSTERIOR_MEAN)
-        pnorm = NormSpec.l2()
-        radius = calibrate_radius(arr, center, pnorm, spec.gamma, basis)
-        return CalibratedCredibleSet(spec, basis, center, radius, pnorm)
+        return calibrated(center, NormSpec.l2())
 
     if variant in (H_DELTA_BALL, H_DELTA_EB, H_DELTA_HB):
         center = center_for(spec.center_rule)
-        pnorm = NormSpec.h_delta(spec.delta)
-        radius = calibrate_radius(arr, center, pnorm, spec.gamma, basis)
         second = None
         if variant == H_DELTA_EB:
             if byproducts.alpha_hat is None or byproducts.posterior_mean is None:
@@ -295,46 +300,26 @@ def build_set(spec: CredibleSetSpec, draws, byproducts: PosteriorByproducts) -> 
             second = SecondConstraint(NormSpec.sobolev_log(beta_hat, 0.0),
                                       byproducts.posterior_mean,
                                       Mn * math.sqrt(logn), "smoothness")
-        return CalibratedCredibleSet(spec, basis, center, radius, pnorm, second=second)
+        return calibrated(center, NormSpec.h_delta(spec.delta), second=second)
 
     if variant == MULTISCALE_BALL:
-        center = center_for(spec.center_rule)
-        pnorm = NormSpec.multiscale(spec.weights)
-        radius = calibrate_radius(arr, center, pnorm, spec.gamma, basis)
-        return CalibratedCredibleSet(spec, basis, center, radius, pnorm)
+        return calibrated(center_for(spec.center_rule), NormSpec.multiscale(spec.weights))
 
     if variant == MULTISCALE_BAND:
         if byproducts.threshold is None:
             raise ValueError("MultiscaleBand needs the posterior-median threshold")
-        center = center_for(spec.center_rule)
-        pnorm = NormSpec.multiscale(spec.weights)
-        radius = calibrate_radius(arr, center, pnorm, spec.gamma, basis)
         est = byproducts.threshold
         pi_med = np.where(est.support, obs.y, 0.0)
         jn = int(math.floor(math.log2(n)))
         vn = logn ** spec.vn_power
         sigma = sigma_band_width(est.support, basis, n, vn, j_cap=jn)
-        return CalibratedCredibleSet(spec, basis, center, radius, pnorm,
-                                     band=BandConstraint(pi_med, sigma, est.support))
+        return calibrated(center_for(spec.center_rule), NormSpec.multiscale(spec.weights),
+                          band=BandConstraint(pi_med, sigma, est.support))
 
     if variant == SUP_BALL:
-        center = center_for(spec.center_rule)
-        pnorm = NormSpec.sup()
-        radius = calibrate_radius(arr, center, pnorm, spec.gamma, basis)
-        return CalibratedCredibleSet(spec, basis, center, radius, pnorm)
-
-    if variant == POINTWISE_BAND:
-        center = center_for(spec.center_rule if spec.center_rule != CENTER_SHIFT
-                            else CENTER_POSTERIOR_MEAN)
-        lo, hi = pointwise_band(arr, basis, spec.grid, spec.gamma)
-        return CalibratedCredibleSet(spec, basis, center, float("nan"),
-                                     NormSpec.sup(), pointwise_lo=lo, pointwise_hi=hi)
+        return calibrated(center_for(spec.center_rule), NormSpec.sup())
 
     raise ValueError(f"unhandled variant {variant!r}")
-
-
-def contains(cs: CalibratedCredibleSet, f) -> MembershipReport:
-    return cs.contains(f)
 
 
 def credibility(cs: CalibratedCredibleSet, fresh_draws) -> float:

@@ -172,8 +172,9 @@ def sample(post: AlphaPosterior, M: int, seed: int) -> PosteriorDrawSet:
     if M < 1:
         raise ValueError("need at least one draw")
     rng = np.random.default_rng(seed)
-    zeta = rng.standard_normal((M, post.means.size))
-    draws = post.means + np.sqrt(post.variances) * zeta
+    draws = rng.standard_normal((M, post.means.size))
+    draws *= np.sqrt(post.variances)
+    draws += post.means
     return PosteriorDrawSet(draws, {"prior": "fixed_alpha", "alpha": post.alpha,
                                     "n": post.n, "seed": int(seed)})
 

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from typing import Optional
 
 import numpy as np
@@ -61,9 +61,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.draws < 20 or self.reps < 1:
             raise ValueError("counts must be positive (draws >= 20)")
-        for g in self.gamma_list:
-            if not 0 < g < 1:
-                raise ValueError("gamma values must lie in (0,1)")
+        if not self.gamma_list or not all(0 < g < 1 for g in self.gamma_list):
+            raise ValueError("gamma values must lie in (0,1)")
+        if not all(n > 1 for n in self.n_list):
+            raise ValueError("noise levels n must exceed 1")
 
     @classmethod
     def defaults(cls, experiment: str) -> "ExperimentConfig":
@@ -232,7 +233,7 @@ def _fit_slabspike(obs, cfg: ExperimentConfig):
     mean = post.slab_weight * post.slab_mean
     byp = PosteriorByproducts(obs, posterior_mean=mean, threshold=est,
                               efficient_center=t1)
-    return post, (lambda M, seed: slabspike.sample(post, M, seed)), byp
+    return (lambda M, seed: slabspike.sample(post, M, seed)), byp
 
 
 def _weights_for(cfg: ExperimentConfig, basis: BasisSpec) -> WeightSequence:
@@ -263,7 +264,7 @@ def run_coverage(cfg: ExperimentConfig) -> Report:
                 s_obs, s_cal = rep_seeds(cfg.seed, rep, 2)
                 obs = observe(f0, n, s_obs)
                 if cfg.prior == "slabspike":
-                    post, draw_fn, byp = _fit_slabspike(obs, cfg)
+                    draw_fn, byp = _fit_slabspike(obs, cfg)
                     w = _weights_for(cfg, obs.basis)
                     spec = CredibleSetSpec(variant or credsets.MULTISCALE_BAND, gamma,
                                            weights=w, vn_power=cfg.vn_power)
@@ -303,7 +304,8 @@ def run_coverage(cfg: ExperimentConfig) -> Report:
 
 def run_oversmoothing_demo(cfg: ExperimentConfig) -> Report:
     """Coverage collapse under a deliberately too-smooth fixed prior."""
-    cfg.prior = cfg.prior if cfg.prior.startswith("fixed:") else "fixed:3.0"
+    if not cfg.prior.startswith("fixed:"):
+        cfg = replace(cfg, prior="fixed:3.0")
     rep = run_coverage(cfg)
     rep.kind = "oversmoothing_demo"
     rep.meta["kind"] = "oversmoothing_demo"
@@ -314,52 +316,64 @@ def run_oversmoothing_demo(cfg: ExperimentConfig) -> Report:
 # credibility table and l2 independence
 # ---------------------------------------------------------------------------
 
-def _l2_joint_cells(cfg: ExperimentConfig, n: float):
-    """Per-(gamma, rep) memberships of the smoothed H(delta) set and the l2
-    ball on a fresh batch, powering both the table and independence reports.
+def _l2_sets(cfg: ExperimentConfig, obs):
+    """Gaussian lane: the smoothed H(delta) set (A) and the l2 ball (B)."""
+    draw_fn, byp, _ = _fit_gaussian(obs, cfg.prior)
+    variant = credsets.H_DELTA_EB if byp.alpha_hat is not None else credsets.H_DELTA_HB
+    gamma = cfg.gamma_list[0]
+    return draw_fn, byp, (CredibleSetSpec(variant, gamma, delta=cfg.delta),
+                          CredibleSetSpec(credsets.L2_BALL, gamma))
 
-    Yields dict cells: gamma, rep, credA, credB, joint, alpha_hat.
+
+def _band_sets(cfg: ExperimentConfig, obs):
+    """Slab-and-spike lane: the two-stage band (A) against the sup-norm ball
+    (B), both centered at the efficient estimator."""
+    draw_fn, byp = _fit_slabspike(obs, cfg)
+    w = _weights_for(cfg, obs.basis)
+    gamma = cfg.gamma_list[0]
+    return draw_fn, byp, (
+        CredibleSetSpec(credsets.MULTISCALE_BAND, gamma, weights=w, vn_power=cfg.vn_power,
+                        center_rule=credsets.CENTER_EFFICIENT),
+        CredibleSetSpec(credsets.SUP_BALL, gamma, center_rule=credsets.CENTER_EFFICIENT))
+
+
+def _joint_masses(cfg: ExperimentConfig, n: float, fit) -> dict:
+    """Per-gamma lists of (cred_A, cred_B, joint) masses, one per replication.
+
+    ``fit(cfg, obs)`` returns (draw_fn, byproducts, (spec_A, spec_B)).  Both
+    sets are calibrated at every gamma on one batch and their memberships
+    counted on a fresh batch of the same size, so the order-statistic bias of
+    same-batch evaluation never enters.
     """
     f0 = make_signal(cfg, n)
+    masses = {g: [] for g in cfg.gamma_list}
     for rep in range(cfg.reps):
         s_obs, s_cal, s_fresh = rep_seeds(cfg.seed, rep, 3)
         obs = observe(f0, n, s_obs)
-        draw_fn, byp, a = _fit_gaussian(obs, cfg.prior)
+        draw_fn, byp, specs = fit(cfg, obs)
         calib = draw_fn(cfg.draws, s_cal)
-        setsA, setsB = {}, {}
-        for gamma in cfg.gamma_list:
-            specA = CredibleSetSpec(credsets.H_DELTA_EB if byp.alpha_hat is not None
-                                    else credsets.H_DELTA_HB, gamma, delta=cfg.delta)
-            setsA[gamma] = build_set(specA, calib, byp)
-            setsB[gamma] = build_set(CredibleSetSpec(credsets.L2_BALL, gamma), calib, byp)
+        families = [build_set(spec, calib, byp, cfg.gamma_list) for spec in specs]
         del calib
         fresh = draw_fn(cfg.draws, s_fresh).draws
-        for gamma in cfg.gamma_list:
-            A = setsA[gamma].membership(fresh)
-            B = setsB[gamma].membership(fresh)
-            yield {"gamma": gamma, "rep": rep, "credA": float(A.mean()),
-                   "credB": float(B.mean()), "joint": float((A & B).mean()),
-                   "alpha": a}
+        A, B = (sets[0].membership(fresh, [s.radius for s in sets]) for sets in families)
+        for i, g in enumerate(cfg.gamma_list):
+            masses[g].append((float(A[i].mean()), float(B[i].mean()),
+                              float((A[i] & B[i]).mean())))
+    return masses
+
+
+def _joint_row(n, gamma, masses) -> tuple:
+    credA, credB, joint = (float(np.mean([m[i] for m in masses])) for i in range(3))
+    return (n, gamma, credA, credB, joint, credA * credB, (1 - gamma) ** 2)
 
 
 def run_credibility_table(cfg: ExperimentConfig) -> Report:
     """Average credibility of the smoothed set, the observed joint credibility
-    with the l2 ball, and the independence benchmark (1-gamma)^2.
-
-    Radii are calibrated on one batch and memberships counted on a fresh
-    batch of the same size, so the order-statistic bias of same-batch
-    evaluation never enters.
-    """
+    with the l2 ball, and the independence benchmark (1-gamma)^2."""
     rows = []
     for n in cfg.n_list:
-        cells = {g: [] for g in cfg.gamma_list}
-        for cell in _l2_joint_cells(cfg, n):
-            cells[cell["gamma"]].append(cell)
-        for g in cfg.gamma_list:
-            credA = float(np.mean([c["credA"] for c in cells[g]]))
-            credB = float(np.mean([c["credB"] for c in cells[g]]))
-            joint = float(np.mean([c["joint"] for c in cells[g]]))
-            rows.append((n, g, credA, credB, joint, credA * credB, (1 - g) ** 2))
+        masses = _joint_masses(cfg, n, _l2_sets)
+        rows += [_joint_row(n, g, masses[g]) for g in cfg.gamma_list]
     return Report("credibility_table",
                   ("n", "gamma", "credibility_smoothed", "credibility_l2",
                    "joint_credibility", "product_of_marginals", "expected_if_independent"),
@@ -372,62 +386,26 @@ def _tv_from_masses(pa: float, pb: float, pab: float) -> float:
     return 0.5 * ((pa - pab) / pa + (pb - pab) / pb)
 
 
-def run_independence_l2(cfg: ExperimentConfig) -> Report:
+def _independence_report(cfg: ExperimentConfig, kind: str, fit) -> Report:
     rows = []
     for n in cfg.n_list:
-        cells = {g: [] for g in cfg.gamma_list}
-        for cell in _l2_joint_cells(cfg, n):
-            cells[cell["gamma"]].append(cell)
+        masses = _joint_masses(cfg, n, fit)
         for g in cfg.gamma_list:
-            credA = float(np.mean([c["credA"] for c in cells[g]]))
-            credB = float(np.mean([c["credB"] for c in cells[g]]))
-            joint = float(np.mean([c["joint"] for c in cells[g]]))
-            tv = float(np.mean([_tv_from_masses(c["credA"], c["credB"], c["joint"])
-                                for c in cells[g]]))
-            rows.append((n, g, credA, credB, joint, credA * credB, (1 - g) ** 2, tv, g))
-    return Report("independence_l2",
+            tv = float(np.mean([_tv_from_masses(*m) for m in masses[g]]))
+            rows.append(_joint_row(n, g, masses[g]) + (tv, g))
+    return Report(kind,
                   ("n", "gamma", "cred_A", "cred_B", "joint", "product",
                    "expected_independent", "tv_estimate", "tv_expected"),
                   rows, _meta(cfg))
+
+
+def run_independence_l2(cfg: ExperimentConfig) -> Report:
+    return _independence_report(cfg, "independence_l2", _l2_sets)
 
 
 def run_independence_multiscale(cfg: ExperimentConfig) -> Report:
-    """Same pipeline under the slab-spike posterior: the two-stage band
-    against the sup-norm ball, both centered at the efficient estimator."""
-    rows = []
-    for n in cfg.n_list:
-        f0 = make_signal(cfg, n)
-        cells = {g: [] for g in cfg.gamma_list}
-        for rep in range(cfg.reps):
-            s_obs, s_cal, s_fresh = rep_seeds(cfg.seed, rep, 3)
-            obs = observe(f0, n, s_obs)
-            post, draw_fn, byp = _fit_slabspike(obs, cfg)
-            w = _weights_for(cfg, obs.basis)
-            calib = draw_fn(cfg.draws, s_cal)
-            setsA, setsB = {}, {}
-            for g in cfg.gamma_list:
-                setsA[g] = build_set(CredibleSetSpec(
-                    credsets.MULTISCALE_BAND, g, weights=w, vn_power=cfg.vn_power,
-                    center_rule=credsets.CENTER_EFFICIENT), calib, byp)
-                setsB[g] = build_set(CredibleSetSpec(
-                    credsets.SUP_BALL, g, center_rule=credsets.CENTER_EFFICIENT),
-                    calib, byp)
-            del calib
-            fresh = draw_fn(cfg.draws, s_fresh).draws
-            for g in cfg.gamma_list:
-                A = setsA[g].membership(fresh)
-                B = setsB[g].membership(fresh)
-                cells[g].append((float(A.mean()), float(B.mean()), float((A & B).mean())))
-        for g in cfg.gamma_list:
-            credA = float(np.mean([c[0] for c in cells[g]]))
-            credB = float(np.mean([c[1] for c in cells[g]]))
-            joint = float(np.mean([c[2] for c in cells[g]]))
-            tv = float(np.mean([_tv_from_masses(*c) for c in cells[g]]))
-            rows.append((n, g, credA, credB, joint, credA * credB, (1 - g) ** 2, tv, g))
-    return Report("independence_multiscale",
-                  ("n", "gamma", "cred_A", "cred_B", "joint", "product",
-                   "expected_independent", "tv_estimate", "tv_expected"),
-                  rows, _meta(cfg))
+    """Same pipeline under the slab-spike posterior."""
+    return _independence_report(cfg, "independence_multiscale", _band_sets)
 
 
 # ---------------------------------------------------------------------------

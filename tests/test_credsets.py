@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -73,6 +74,56 @@ def test_self_consistency_on_calibration_draws():
         cs = build_set(spec, draws, byp)
         inside = cs.membership(draws.draws)
         assert inside.sum() == math.ceil((1 - gamma) * draws.draws.shape[0])
+
+
+def band_setup(n=500.0, seed=21, draw_seed=5, M=300):
+    b = BasisSpec(sm.HAAR_WAVELET, sm.default_wavelet_truncation(n))
+    f0 = sm.truncated_laplace_signal(0.5, 5.0, b)
+    obs = sm.observe(f0, n, seed)
+    post = ss.posterior(obs, ss.SlabSpikeConfig())
+    est = ss.posterior_median(post)
+    byp = PosteriorByproducts(obs, posterior_mean=post.slab_weight * post.slab_mean,
+                              threshold=est,
+                              efficient_center=ss.efficient_estimator(obs, est, post, 1))
+    return obs, post, byp, ss.sample(post, M, draw_seed)
+
+
+@pytest.mark.parametrize("variant", [cset.H_DELTA_EB, cset.H_DELTA_HB, cset.L2_BALL,
+                                     cset.MULTISCALE_BAND, cset.SUP_BALL])
+def test_shared_levels_equal_per_level_sets(variant):
+    gammas = (0.05, 0.1, 0.2)
+    if variant in (cset.MULTISCALE_BAND, cset.SUP_BALL):
+        obs, post, byp, draws = band_setup()
+        fresh = ss.sample(post, 300, 99).draws
+        w = WeightSequence.power_law(0.5, obs.basis.max_index)
+        spec = CredibleSetSpec(variant, gammas[0], weights=w,
+                               center_rule=cset.CENTER_EFFICIENT)
+    else:
+        obs, post, byp, draws = eb_setup()
+        byp = dataclasses.replace(byp, alpha_median=byp.alpha_hat)
+        fresh = gp.sample(post, 300, 99).draws
+        spec = CredibleSetSpec(variant, gammas[0])
+    sets = build_set(spec, draws, byp, gammas)
+    shared = sets[0].membership(fresh, [s.radius for s in sets])
+    assert shared.shape == (len(gammas), fresh.shape[0])
+    for g, cs, row in zip(gammas, sets, shared):
+        assert cs.spec.gamma == g
+        assert (cs.center is sets[0].center and cs.second is sets[0].second
+                and cs.band is sets[0].band)
+        assert cs.radius == calibrate_radius(draws, cs.center, cs.primary_norm, g,
+                                             obs.basis)
+        one = build_set(dataclasses.replace(spec, gamma=g), draws, byp)
+        assert one.radius == cs.radius
+        assert np.array_equal(row, one.membership(fresh))
+        want = sm.norm(fresh - cs.center, cs.primary_norm, obs.basis) <= cs.radius
+        if cs.second is not None:
+            want &= sm.norm(fresh - cs.second.center, cs.second.norm_spec,
+                            obs.basis) <= cs.second.radius
+        if cs.band is not None:
+            want &= sm.norm(fresh - cs.band.center, NormSpec.sup(),
+                            obs.basis) <= cs.band.sigma
+        assert np.array_equal(row, want)
+    assert 0 < shared[0].sum() < fresh.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +207,9 @@ def test_sigma_accumulates_levels():
 
 
 def test_multiscale_band_assembly():
-    n = 500.0
-    b = BasisSpec(sm.HAAR_WAVELET, sm.default_wavelet_truncation(n))
-    f0 = sm.truncated_laplace_signal(0.5, 5.0, b)
-    obs = sm.observe(f0, n, 21)
-    post = ss.posterior(obs, ss.SlabSpikeConfig())
-    est = ss.posterior_median(post)
-    byp = PosteriorByproducts(obs, posterior_mean=post.slab_weight * post.slab_mean,
-                              threshold=est,
-                              efficient_center=ss.efficient_estimator(obs, est, post, 1))
-    draws = ss.sample(post, 300, 5)
-    w = WeightSequence.power_law(0.5, b.max_index)
+    obs, post, byp, draws = band_setup()
+    est = byp.threshold
+    w = WeightSequence.power_law(0.5, obs.basis.max_index)
     cs = build_set(CredibleSetSpec(cset.MULTISCALE_BAND, 0.05, weights=w), draws, byp)
     assert cs.band is not None and cs.band.sigma > 0
     assert np.array_equal(cs.band.center, np.where(est.support, obs.y, 0.0))

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -52,6 +53,39 @@ def test_end_to_end_determinism_checksums(tmp_path):
     assert digests[0] == digests[1]
 
 
+# sha256 of each report as written by commit 106f9ea, whose joint-credibility
+# loop calibrated and tested every gamma with its own distance passes
+# (numpy 2.4, x86-64).  Sharing those passes across gamma must not move a
+# single byte.
+SMALL = ["--n", "500", "--draws", "200", "--reps", "2"]
+PINNED_REPORTS = {
+    "indep_l2_eb": (["indep-l2", *SMALL, "--gamma", "0.05,0.2"], "independence_l2.csv",
+                    "e3b1a702f56920734177a7d790499927b954ae4266a8572e3db57710d63b967f"),
+    "indep_l2_hb": (["indep-l2", *SMALL, "--prior", "hb", "--gamma", "0.05,0.2"],
+                    "independence_l2.csv",
+                    "6e327f57c2d9c0d5e0e17635445e876d99059be7f80bb49d6d7c9f203f539d30"),
+    "cred_table": (["cred-table", *SMALL, "--gamma", "0.05,0.2"], "credibility_table.csv",
+                   "3ebe2403fdf5ebdfb3b15b33802bef665c4ec55b0da04068d7654a4022efb9fd"),
+    "indep_ms": (["indep-ms", *SMALL, "--gamma", "0.05,0.1"], "independence_multiscale.csv",
+                 "32d10c138ac91379bb362ae47b7c935f7d2a16b2444c83ea7ad033d9c092c0ca"),
+    "coverage_eb": (["coverage", *SMALL], "coverage.csv",
+                    "8cb07d958dad47b6936fdbf2b0be0df953bf438d67aa62b8fdbe5966d9dbab09"),
+    "coverage_band": (["coverage", *SMALL, "--prior", "slabspike",
+                       "--signal", "truncated_laplace:0.5:5.0"], "coverage.csv",
+                      "164bb5888f3930d274296bcfd5d53e0161d0108f7afd6e4abb29a28605b6fc85"),
+    "radius_scaling": (["radius-scaling", "--n", "500,1000", "--draws", "200", "--reps", "2"],
+                       "radius_scaling.csv",
+                       "658a03c5cddca25a7cede33f76499b4da85d813171a896ea275fdf581bce1af3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_REPORTS))
+def test_reports_match_pinned_sha256(tmp_path, case):
+    argv, name, want = PINNED_REPORTS[case]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want
+
+
 # ---------------------------------------------------------------------------
 # emit / parse round trip
 # ---------------------------------------------------------------------------
@@ -93,6 +127,14 @@ def test_config_validation():
         hz.ExperimentConfig("coverage", gamma_list=(1.5,))
     with pytest.raises(ValueError):
         hz.ExperimentConfig("coverage", draws=5)
+
+
+def test_oversmoothing_demo_leaves_config_unchanged():
+    cfg = tiny_cfg("oversmoothing_demo", reps=1, draws=30, prior="eb")
+    before = copy.deepcopy(cfg)
+    rep = hz.run_oversmoothing_demo(cfg)
+    assert rep.meta["prior"] == "fixed:3.0"
+    assert cfg == before
 
 
 def test_every_runner_produces_rows(tmp_path):
@@ -168,6 +210,17 @@ def test_cli_bad_config_exits_2(tmp_path):
     conf.write_text("this line has no equals sign\n")
     rc = cli.main(["coverage", "--config", str(conf), "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "200", "--draws", "5"], "draws >= 20"),
+    (["--n", "1", "--draws", "40"], "n must exceed 1"),
+])
+def test_cli_validates_after_overrides(tmp_path, capsys, flags, message):
+    rc = cli.main(["coverage", "--reps", "2", "--out", str(tmp_path)] + flags)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 def test_cli_check_failure_exits_3(tmp_path):
