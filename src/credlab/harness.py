@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
 from typing import Optional
 
@@ -31,6 +32,14 @@ REPORT_SCHEMA = "credlab-report-v1"
 EXPERIMENTS = ("coverage", "credibility_table", "independence_l2",
                "independence_multiscale", "negative_bvm", "dirichlet_demo",
                "radius_scaling", "oversmoothing_demo")
+
+# The ``extras`` keys each experiment reads; any other key is rejected.
+EXTRAS = {
+    "coverage": ("variant", "diam_reps"),
+    "oversmoothing_demo": ("variant", "diam_reps"),
+    "negative_bvm": ("beta", "R", "r", "tau", "test_m", "subseq_base", "subseq_ratio"),
+    "dirichlet_demo": ("weights_eps", "grid_points"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +74,11 @@ class ExperimentConfig:
             raise ValueError("gamma values must lie in (0,1)")
         if not all(n > 1 for n in self.n_list):
             raise ValueError("noise levels n must exceed 1")
+        allowed = EXTRAS.get(self.experiment, ())
+        unknown = sorted(set(self.extras) - set(allowed))
+        if unknown:
+            raise ValueError(f"unknown config keys for {self.experiment}: "
+                             f"{', '.join(unknown)} (allowed: {', '.join(allowed) or 'none'})")
 
     @classmethod
     def defaults(cls, experiment: str) -> "ExperimentConfig":
@@ -380,9 +394,15 @@ def run_credibility_table(cfg: ExperimentConfig) -> Report:
                   rows, _meta(cfg))
 
 
-def _tv_from_masses(pa: float, pb: float, pab: float) -> float:
+def _tv_from_masses(pa: float, pb: float, pab: float, where: str) -> float:
     """Total variation between the two conditioned posteriors from the exact
-    decomposition (1/2)[P(A\\B)/P(A) + P(B\\A)/P(B)]."""
+    decomposition (1/2)[P(A\\B)/P(A) + P(B\\A)/P(B)]; undefined when a fresh
+    batch has no member of A or of B, which ``where`` then names."""
+    empty = [name for name, p in (("A", pa), ("B", pb)) if p == 0.0]
+    if empty:
+        raise ValueError(f"{where}: no fresh draw lies in set {' or '.join(empty)}, "
+                         "so the total variation is undefined; use more draws "
+                         "or a smaller gamma")
     return 0.5 * ((pa - pab) / pa + (pb - pab) / pb)
 
 
@@ -391,7 +411,8 @@ def _independence_report(cfg: ExperimentConfig, kind: str, fit) -> Report:
     for n in cfg.n_list:
         masses = _joint_masses(cfg, n, fit)
         for g in cfg.gamma_list:
-            tv = float(np.mean([_tv_from_masses(*m) for m in masses[g]]))
+            tv = float(np.mean([_tv_from_masses(*m, f"n={n:g} gamma={g} replication {rep}")
+                                for rep, m in enumerate(masses[g])]))
             rows.append(_joint_row(n, g, masses[g]) + (tv, g))
     return Report(kind,
                   ("n", "gamma", "cred_A", "cred_B", "joint", "product",
@@ -486,22 +507,24 @@ def run_negative_bvm(cfg: ExperimentConfig) -> Report:
     w = WeightSequence.power_law(cfg.weights_eps, j_max)
     wl = float(w.values[level])
     Mn = math.sqrt(math.log(n_test)) / (2.0 * wl)
+    radius = Mn / math.sqrt(n_test)
     margin = seqmodel.sup_selfsim_margin(f0, beta, 1, min(j_max, 8))
 
     rows = []
-    for rep in range(cfg.reps):
-        s_obs, s_a, s_b = rep_seeds(cfg.seed, rep, 3)
-        obs = observe(f0, n_test, s_obs)
-        masses = {}
-        for label, j0_rule in (("full_threshold", ("explicit", 0)),
-                               ("fitted_zone", ("sqrt_log_n",))):
-            config = slabspike.SlabSpikeConfig(j0_rule=j0_rule, tau=tau,
-                                               K_floor=cfg.K_floor)
-            post = slabspike.posterior(obs, config)
-            masses[label] = _escaping_mass(post, obs, w, Mn / math.sqrt(n_test),
-                                           cfg.draws, s_a if label == "full_threshold" else s_b)
-        rows.append((rep, n_test, test_m, level, Mn,
-                     masses["full_threshold"], masses["fitted_zone"], margin))
+    # The two priors draw from independent generators, and numpy fills random
+    # arrays without holding the GIL, so their escaping masses run side by
+    # side.  Everything else, the posteriors included, stays on this thread.
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for rep in range(cfg.reps):
+            s_obs, s_a, s_b = rep_seeds(cfg.seed, rep, 3)
+            obs = observe(f0, n_test, s_obs)
+            posts = [slabspike.posterior(obs, slabspike.SlabSpikeConfig(
+                         j0_rule=j0_rule, tau=tau, K_floor=cfg.K_floor))
+                     for j0_rule in (("explicit", 0), ("sqrt_log_n",))]
+            futures = [pool.submit(_escaping_mass, post, obs, w, radius, cfg.draws, seed)
+                       for post, seed in zip(posts, (s_a, s_b))]
+            full, fitted = (f.result() for f in futures)
+            rows.append((rep, n_test, test_m, level, Mn, full, fitted, margin))
     meta = _meta(cfg)
     meta["median_mass_full_threshold"] = float(np.median([r[5] for r in rows]))
     meta["median_mass_fitted_zone"] = float(np.median([r[6] for r in rows]))
@@ -516,18 +539,24 @@ def run_negative_bvm(cfg: ExperimentConfig) -> Report:
 def _escaping_mass(post, obs, w: WeightSequence, radius: float, M: int,
                    seed: int, chunk: int = 200) -> float:
     """Fraction of posterior draws with M(w)-distance to the observation
-    at least ``radius``; draws are streamed in chunks to bound memory."""
+    at least ``radius``; draws are streamed in chunks to bound memory.
+
+    A coordinate left to the spike is 0 in the draw, so its distance
+    |0 - y_k| / w_k is fixed: a draw escapes when it leaves unpicked some
+    coordinate whose fixed distance reaches the radius, or when one of its
+    slab entries does.  Only the slab entries are ever materialised.
+    """
     wvec = w.per_position(obs.basis)
     rng = np.random.default_rng(seed)
-    K = post.slab_weight.size
-    sd = np.sqrt(post.slab_var)
+    far_at_zero = np.abs(0.0 - obs.y) / wvec >= radius
+    n_far = int(far_at_zero.sum())
     escaped = 0
     for start in range(0, M, chunk):
         m = min(chunk, M - start)
-        pick = rng.uniform(size=(m, K)) < post.slab_weight
-        gauss = post.slab_mean + sd * rng.standard_normal((m, K))
-        d = np.abs(np.where(pick, gauss, 0.0) - obs.y) / wvec
-        escaped += int(np.sum(d.max(axis=1) >= radius))
+        rows, cols, values = slabspike.slab_picks(post, rng, m)
+        escape = np.bincount(rows[far_at_zero[cols]], minlength=m) < n_far
+        escape[rows[np.abs(values - obs.y[cols]) / wvec[cols] >= radius]] = True
+        escaped += int(escape.sum())
     return escaped / M
 
 

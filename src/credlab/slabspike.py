@@ -151,15 +151,47 @@ def posterior(obs: NoisyObservation, config: SlabSpikeConfig) -> SlabSpikePoster
     return SlabSpikePosterior(config, obs.basis, obs.n, sw, sm, sv, lev, obs)
 
 
+BLOCK_VALUES = 1 << 16   # random values per fill of the slab_picks buffer
+
+
+def slab_picks(post: SlabSpikePosterior, rng: np.random.Generator, M: int):
+    """Slab entries of M factorized draws as (rows, cols, values); every
+    other entry of the M x K draw matrix is the spike, exactly 0.
+
+    Entry (i, k) comes from the slab when its uniform falls below
+    slab_weight[k], and then equals slab_mean[k] + sd[k] * z with its normal
+    z.  ``rng`` is consumed exactly as by ``uniform(size=(M, K))`` followed by
+    ``standard_normal((M, K))``: both are filled row block by row block into
+    one small reused buffer, and only the picked entries are kept.  Rows come
+    out in increasing order.
+    """
+    K = post.slab_weight.size
+    step = max(1, BLOCK_VALUES // K)
+    buf = np.empty((min(step, M), K))
+    starts = range(0, M, step)
+    picked = []                      # flat indices into each row block
+    for start in starts:
+        block = buf[:min(step, M - start)]
+        rng.random(out=block)
+        picked.append(np.flatnonzero(block < post.slab_weight))
+    z = []
+    for start, idx in zip(starts, picked):
+        block = buf[:min(step, M - start)]
+        rng.standard_normal(out=block)
+        z.append(block.ravel()[idx])
+    flat = np.concatenate([idx + start * K for start, idx in zip(starts, picked)])
+    rows, cols = np.divmod(flat, K)
+    values = post.slab_mean[cols] + np.sqrt(post.slab_var)[cols] * np.concatenate(z)
+    return rows, cols, values
+
+
 def sample(post: SlabSpikePosterior, M: int, seed: int) -> PosteriorDrawSet:
     """Exact factorized sampling: Bernoulli(slab_weight) picks slab vs spike."""
     if M < 1:
         raise ValueError("need at least one draw")
-    rng = np.random.default_rng(seed)
-    K = post.slab_weight.size
-    pick = rng.uniform(size=(M, K)) < post.slab_weight
-    gauss = post.slab_mean + np.sqrt(post.slab_var) * rng.standard_normal((M, K))
-    draws = np.where(pick, gauss, 0.0)
+    rows, cols, values = slab_picks(post, np.random.default_rng(seed), M)
+    draws = np.zeros((M, post.slab_weight.size))
+    draws[rows, cols] = values
     return PosteriorDrawSet(draws, {"prior": "slab_spike", "n": post.n,
                                     "j0": post.j0, "jn": post.jn, "seed": int(seed)})
 

@@ -54,9 +54,11 @@ def test_end_to_end_determinism_checksums(tmp_path):
 
 
 # sha256 of each report as written by commit 106f9ea, whose joint-credibility
-# loop calibrated and tested every gamma with its own distance passes
-# (numpy 2.4, x86-64).  Sharing those passes across gamma must not move a
-# single byte.
+# loop calibrated and tested every gamma with its own distance passes, and
+# of the negative-BvM report as written by commit 01b5c74, whose samplers
+# drew dense M x K matrices (numpy 2.4, x86-64).  Sharing those passes
+# across gamma and drawing only the slab entries must not move a single
+# byte.
 SMALL = ["--n", "500", "--draws", "200", "--reps", "2"]
 PINNED_REPORTS = {
     "indep_l2_eb": (["indep-l2", *SMALL, "--gamma", "0.05,0.2"], "independence_l2.csv",
@@ -76,6 +78,9 @@ PINNED_REPORTS = {
     "radius_scaling": (["radius-scaling", "--n", "500,1000", "--draws", "200", "--reps", "2"],
                        "radius_scaling.csv",
                        "658a03c5cddca25a7cede33f76499b4da85d813171a896ea275fdf581bce1af3"),
+    # 250 draws stream as one full chunk of 200 and one partial chunk
+    "neg_bvm": (["neg-bvm", "--draws", "250", "--reps", "2"], "negative_bvm.csv",
+                "72e12495adb53e6f41da79d794ad0f85eb0d43dc65548cebb2900bc3cd356e82"),
 }
 
 
@@ -84,6 +89,17 @@ def test_reports_match_pinned_sha256(tmp_path, case):
     argv, name, want = PINNED_REPORTS[case]
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want
+
+
+def test_negative_bvm_matches_golden_file(tmp_path):
+    """The preset negative-BvM report regenerates the committed demo output
+    byte for byte."""
+    path = hz.emit(hz.run_negative_bvm(hz.ExperimentConfig.defaults("negative_bvm")),
+                   "csv", str(tmp_path / "negative_bvm.csv"))
+    golden = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "output",
+                          "negative_bvm.csv")
+    with open(path, "rb") as got, open(golden, "rb") as want:
+        assert got.read() == want.read()
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +237,40 @@ def test_cli_validates_after_overrides(tmp_path, capsys, flags, message):
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not os.listdir(tmp_path)
+
+
+def test_cli_empty_fresh_set_exits_2(tmp_path, capsys):
+    # at gamma 0.9 the l2 ball keeps 2 of 20 calibration draws, and in
+    # replication 1 no fresh draw falls inside it
+    rc = cli.main(["indep-l2", "--n", "200", "--draws", "20", "--reps", "3",
+                   "--gamma", "0.9", "--seed", "2", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "n=200 gamma=0.9 replication 1" in err and "set B" in err
+    assert "Traceback" not in err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("command, lines, ok", [
+    ("coverage", "draw = 500\n", False),
+    ("coverage", "variant = L2Ball\ndiam_reps = 0\n", True),
+    ("oversmooth", "tau = 4\n", False),
+    ("neg-bvm", "subseq_base = 100\ntau = 4\ntest_m = 2\n", True),
+    ("neg-bvm", "grid_points = 9\n", False),
+    ("dirichlet", "weights_eps = 0.1\ngrid_points = 9\n", True),
+    ("cred-table", "variant = L2Ball\n", False),
+])
+def test_cli_config_keys_checked_per_experiment(tmp_path, capsys, command, lines, ok):
+    conf = tmp_path / "run.cfg"
+    conf.write_text(lines)
+    argv = [command, "--config", str(conf), "--out", str(tmp_path / "out")]
+    if ok:
+        cfg = cli.make_config(cli.build_parser().parse_args(argv))
+        assert set(cfg.extras) == {ln.split("=")[0].strip() for ln in lines.splitlines()}
+    else:
+        assert cli.main(argv) == 2
+        assert "unknown config keys" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_check_failure_exits_3(tmp_path):

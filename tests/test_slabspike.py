@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest, norm as norm_dist
 
 from credlab import gaussprior as gp
+from credlab import harness as hz
 from credlab import seqmodel as sm
 from credlab import slabspike as ss
 from credlab.seqmodel import BasisSpec
@@ -144,6 +145,90 @@ def test_factorized_posterior_cylinder_oracle():
     picks = rng.uniform(size=(M, 3)) < post.slab_weight[coords]
     hit = (picks[:, 0] & picks[:, 1] & ~picks[:, 2]).mean()
     assert abs(hit - want) < 4 * math.sqrt(want * (1 - want) / M)
+
+
+# ---------------------------------------------------------------------------
+# sparse slab draws against the dense reference, bit for bit
+# ---------------------------------------------------------------------------
+
+def dense_draws(post, rng, M):
+    """The dense sampler the sparse kernel replaces: M x K uniforms, then
+    M x K normals, spike entries set to 0."""
+    pick = rng.uniform(size=(M, post.slab_weight.size)) < post.slab_weight
+    gauss = post.slab_mean + np.sqrt(post.slab_var) * rng.standard_normal(pick.shape)
+    return np.where(pick, gauss, 0.0)
+
+
+def dense_escaping_mass(post, obs, w, radius, M, seed, chunk):
+    """The dense chunked escaping mass the sparse kernel replaces."""
+    wvec = w.per_position(obs.basis)
+    rng = np.random.default_rng(seed)
+    escaped = 0
+    for start in range(0, M, chunk):
+        d = np.abs(dense_draws(post, rng, min(chunk, M - start)) - obs.y) / wvec
+        escaped += int(np.sum(d.max(axis=1) >= radius))
+    return escaped / M
+
+
+def negative_bvm_calls():
+    """Arguments of the two escaping-mass calls of one preset negative-BvM
+    replication: (post, obs, w, radius, M, seed) for full thresholding and
+    for the fitted zone, with K = 131072."""
+    calls = []
+    cfg = hz.ExperimentConfig.defaults("negative_bvm")
+    cfg.reps = 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hz, "_escaping_mass", lambda *a: calls.append(a) or 0.0)
+        hz.run_negative_bvm(cfg)
+    return calls
+
+
+def band_posterior():
+    _, obs = laplace_obs(2000.0, seed=3)
+    return ss.posterior(obs, ss.SlabSpikeConfig())
+
+
+@pytest.mark.parametrize("block_rows", [None, 3])
+@pytest.mark.parametrize("shape", ["band", "negative_bvm"])
+def test_sample_equals_dense_reference(monkeypatch, shape, block_rows):
+    post = band_posterior() if shape == "band" else negative_bvm_calls()[1][0]
+    K = post.slab_weight.size
+    if block_rows is not None:
+        monkeypatch.setattr(ss, "BLOCK_VALUES", block_rows * K)
+    step = max(1, ss.BLOCK_VALUES // K)
+    M = 2 * step + 1 if step > 1 else 7   # a partial last block whenever blocks span rows
+    ref = np.random.default_rng(11)
+    want = dense_draws(post, ref, M)
+    assert ss.sample(post, M, 11).draws.tobytes() == want.tobytes()
+
+    rng = np.random.default_rng(11)
+    rows, cols, values = ss.slab_picks(post, rng, M)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert np.all(np.diff(rows) >= 0)
+    assert values.tobytes() == want[rows, cols].tobytes()
+
+
+def test_escaping_mass_equals_dense_reference():
+    """Both preset posteriors at the preset radius, where a handful of
+    coordinates are far from the data even at 0, and the band posterior of
+    a zero signal at a radius no unpicked coordinate reaches; 50 draws in
+    chunks of 20 leave a partial last chunk."""
+    cases = [(post, obs, w, radius) for post, obs, w, radius, _, _
+             in negative_bvm_calls()]
+    basis = BasisSpec(sm.HAAR_WAVELET, sm.default_wavelet_truncation(2000.0))
+    obs = sm.observe(sm.custom_signal(np.zeros(basis.size), basis), 2000.0, 4)
+    post = ss.posterior(obs, ss.SlabSpikeConfig())
+    w = sm.WeightSequence.power_law(0.5, basis.max_index)
+    cases.append((post, obs, w, float(np.max(np.abs(obs.y) / w.per_position(basis))) * 1.05))
+    far = [int(np.sum(np.abs(0.0 - o.y) / w_.per_position(o.basis) >= r))
+           for _, o, w_, r in cases]
+    assert far[0] > 0 and far[1] > 0 and far[2] == 0
+    masses = []
+    for post, obs, w, radius in cases:
+        got = hz._escaping_mass(post, obs, w, radius, 50, 21, chunk=20)
+        assert got == dense_escaping_mass(post, obs, w, radius, 50, 21, 20)
+        masses.append(got)
+    assert 0.0 < masses[1] < 1.0 and 0.0 < masses[2] < 1.0
 
 
 # ---------------------------------------------------------------------------
