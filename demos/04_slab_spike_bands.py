@@ -46,7 +46,7 @@ def main():
         pw_lo, pw_hi = cset.pointwise_band(draws, basis, grid, 0.05)
         mean_vals = sm.evaluate_function(byp.posterior_mean, grid, basis)
         sup_d = np.max(np.abs(vals - mean_vals), axis=1)
-        q = float(np.sort(sup_d)[int(np.ceil(0.95 * len(sup_d))) - 1])
+        q = cset.order_statistic_radius(sup_d, 0.05)
         truth = sm.TruncatedLaplace(0.5, 5.0).pdf(grid)
         path = os.path.join(OUT, f"bands_n{int(n)}.csv")
         with open(path, "w", newline="") as fh:

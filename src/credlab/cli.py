@@ -1,8 +1,10 @@
 """Command-line front end: one subcommand per experiment.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 when --check is set
-and one of the experiment's headline thresholds fails.  Any flag may also be
-supplied through a KEY=VALUE config file via --config; explicit flags win.
+Exit codes: 0 on success, 2 on configuration errors ("config error: ...")
+and on errors raised while the experiment runs ("error: ..."), 3 when
+--check is set and one of the experiment's headline thresholds fails.  Any
+flag may also be supplied through a KEY=VALUE config file via --config;
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def main(argv=None) -> int:
     try:
         report = harness.run_experiment(cfg)
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     path = os.path.join(cfg.out_dir, f"{report.kind}.{cfg.fmt}")
     harness.emit(report, cfg.fmt, path)

@@ -5,7 +5,6 @@ variants and the two-stage multiscale band; pointwise bands for comparison.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -160,48 +159,35 @@ class CalibratedCredibleSet:
                 return MembershipReport(False, "band", distances)
         return MembershipReport(True, None, distances)
 
-    def to_json(self) -> str:
-        out = {
-            "schema": "credlab-credset-v1",
-            "variant": self.spec.variant,
-            "gamma": self.spec.gamma,
-            "radius": self.radius,
-        }
-        if self.second is not None:
-            out["second_constraint"] = {
-                "label": self.second.label,
-                "norm": {"kind": self.second.norm_spec.kind,
-                         "s": self.second.norm_spec.s,
-                         "delta": self.second.norm_spec.delta},
-                "radius": self.second.radius,
-            }
-        if self.band is not None:
-            out["sigma"] = self.band.sigma
-            out["support"] = [int(i) for i in np.flatnonzero(self.band.support)]
-        return json.dumps(out)
-
 
 # ---------------------------------------------------------------------------
 # calibration
 # ---------------------------------------------------------------------------
 
-def calibrate_radius(draws, center, norm_spec: NormSpec, gamma,
-                     basis: Optional[BasisSpec] = None):
-    """Radius as the ceil((1-gamma) M)-th order statistic of the draw-center
-    distances (lower empirical quantile convention).
+def order_statistic_radius(distances, gamma):
+    """The ceil((1-gamma) M)-th smallest of M distances (lower empirical
+    quantile convention).
 
     For a sequence of levels ``gamma`` the result is a list of radii, one per
     level, read from one sorted distance vector.
     """
-    arr = draws.draws if isinstance(draws, PosteriorDrawSet) else np.asarray(draws)
     levels = tuple(gamma) if np.ndim(gamma) else (gamma,)
-    if arr.shape[0] < 20:
-        raise ValueError("need at least 20 draws to calibrate a radius")
     if not all(0 < g < 1 for g in levels):
         raise ValueError("gamma must lie in (0,1)")
-    d = np.sort(norm(arr - np.asarray(center), norm_spec, basis))
-    radii = [float(d[math.ceil((1.0 - g) * arr.shape[0]) - 1]) for g in levels]
+    d = np.sort(distances)
+    radii = [float(d[math.ceil((1.0 - g) * d.size) - 1]) for g in levels]
     return radii if np.ndim(gamma) else radii[0]
+
+
+def calibrate_radius(draws, center, norm_spec: NormSpec, gamma,
+                     basis: Optional[BasisSpec] = None):
+    """Radius as the order statistic of the draw-center distances in
+    ``norm_spec`` (``order_statistic_radius``), one per level for a
+    sequence of levels."""
+    arr = draws.draws if isinstance(draws, PosteriorDrawSet) else np.asarray(draws)
+    if arr.shape[0] < 20:
+        raise ValueError("need at least 20 draws to calibrate a radius")
+    return order_statistic_radius(norm(arr - np.asarray(center), norm_spec, basis), gamma)
 
 
 def sigma_band_width(support: np.ndarray, basis: BasisSpec, n: float, vn: float,
@@ -320,13 +306,6 @@ def build_set(spec: CredibleSetSpec, draws, byproducts: PosteriorByproducts,
         return calibrated(center_for(spec.center_rule), NormSpec.sup())
 
     raise ValueError(f"unhandled variant {variant!r}")
-
-
-def credibility(cs: CalibratedCredibleSet, fresh_draws) -> float:
-    """Fraction of fresh draws inside the set; fresh draws must be independent
-    of the calibration draws for an unbiased reading."""
-    arr = fresh_draws.draws if isinstance(fresh_draws, PosteriorDrawSet) else np.asarray(fresh_draws)
-    return float(np.mean(cs.membership(arr)))
 
 
 def diameter_estimate(cs: CalibratedCredibleSet, draws, norm_spec: NormSpec,

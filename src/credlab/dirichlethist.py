@@ -10,26 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqmodel import BasisSpec, HAAR_WAVELET, SignalCoefficients, TruncatedLaplace
-
-
-@dataclass(frozen=True)
-class HistogramModel:
-    """2^L dyadic bins (k 2^-L, (k+1) 2^-L] with a flat Dirichlet prior."""
-
-    L: int
-
-    def __post_init__(self):
-        if self.L < 1:
-            raise ValueError("resolution L must be >= 1")
-
-    @property
-    def bins(self) -> int:
-        return 2 ** self.L
-
-    @property
-    def prior_concentration(self) -> np.ndarray:
-        return np.ones(self.bins)
+from .seqmodel import BasisSpec, HAAR_WAVELET, TruncatedLaplace
 
 
 @dataclass(frozen=True)
@@ -48,10 +29,11 @@ class DirichletPosterior:
 
 
 def default_resolution(n: int, s: float = 1.4) -> int:
-    """L with 2^L nearest (n/log n)^{1/(2s+1)}; the demo truth lies in the
-    L2-Sobolev scale just below smoothness 3/2."""
+    """L with 2^L nearest (n/log n)^{1/(2s+1)}, at least 2 so that the Haar
+    basis has wavelet levels 0..L-1 with L-1 >= 1 for the multiscale weights;
+    the demo truth lies in the L2-Sobolev scale just below smoothness 3/2."""
     target = (n / math.log(n)) ** (1.0 / (2.0 * s + 1.0))
-    L = max(1, round(math.log2(target)))
+    L = max(2, round(math.log2(target)))
     if abs(2.0 ** L - target) > abs(2.0 ** (L + 1) - target):
         L += 1
     return L
@@ -122,7 +104,3 @@ def haar_coefficients(heights, L: int) -> np.ndarray:
 def haar_basis_for(L: int) -> BasisSpec:
     """Basis spec matching the flattened output of ``haar_coefficients``."""
     return BasisSpec(HAAR_WAVELET, L - 1)
-
-
-def density_coefficients(heights, L: int) -> SignalCoefficients:
-    return SignalCoefficients(haar_basis_for(L), haar_coefficients(heights, L))

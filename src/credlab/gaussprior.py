@@ -9,7 +9,6 @@ one-dimensional marginal posterior is integrated by grid quadrature.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -44,10 +43,8 @@ def marginal_loglik(obs: NoisyObservation, alpha: float) -> float:
     truncated at the stored coefficient length."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    n = obs.n
     k_log = np.log(np.arange(1, obs.y.size + 1, dtype=float))
-    pw = _power(k_log, alpha)
-    return -0.5 * float(np.sum(np.log1p(n / pw) - n * n * obs.y ** 2 / (pw + n)))
+    return float(_loglik_grid(np.array([alpha], dtype=float), k_log, obs.y ** 2, obs.n)[0])
 
 
 def loglik_tail_bound(obs: NoisyObservation, alpha: float) -> float:
@@ -59,7 +56,8 @@ def loglik_tail_bound(obs: NoisyObservation, alpha: float) -> float:
 
 def _loglik_grid(grid: np.ndarray, k_log: np.ndarray, ysq: np.ndarray,
                  n: float, block: int = 64) -> np.ndarray:
-    """Marginal log-likelihood on an alpha grid, vectorized in blocks."""
+    """``marginal_loglik`` on an alpha grid, vectorized in blocks; the one
+    place the formula is evaluated."""
     out = np.empty(grid.size)
     for i in range(0, grid.size, block):
         g = grid[i:i + block]
@@ -77,17 +75,6 @@ class EmpiricalBayesResult:
     boundary_flag: bool
     tail_bound: float
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "schema": "credlab-eb-v1",
-            "alpha_hat": self.alpha_hat,
-            "a_n": self.a_n,
-            "boundary_flag": self.boundary_flag,
-            "tail_bound": self.tail_bound,
-            "grid": [float(a) for a in self.grid],
-            "loglik": [float(v) for v in self.loglik],
-        })
-
 
 def empirical_bayes_alpha(obs: NoisyObservation, alpha_min: float = ALPHA_MIN,
                           grid_size: int = 400, tol: float = 1e-4) -> EmpiricalBayesResult:
@@ -102,8 +89,7 @@ def empirical_bayes_alpha(obs: NoisyObservation, alpha_min: float = ALPHA_MIN,
     ysq = obs.y ** 2
 
     def ll(alpha):
-        pw = _power(k_log, alpha)
-        return -0.5 * float(np.sum(np.log1p(n / pw) - n * n * ysq / (pw + n)))
+        return _loglik_grid(np.array([alpha], dtype=float), k_log, ysq, n)[0]
 
     grid = np.linspace(alpha_min, a_n, grid_size)
     vals = _loglik_grid(grid, k_log, ysq, n)
@@ -156,10 +142,6 @@ def posterior(obs: NoisyObservation, alpha: float) -> AlphaPosterior:
                           1.0 / (pw + obs.n), obs)
 
 
-def posterior_mean(post: AlphaPosterior) -> np.ndarray:
-    return post.means
-
-
 @dataclass(frozen=True)
 class PosteriorDrawSet:
     """M x K matrix of coefficient draws with provenance."""
@@ -177,18 +159,6 @@ def sample(post: AlphaPosterior, M: int, seed: int) -> PosteriorDrawSet:
     draws += post.means
     return PosteriorDrawSet(draws, {"prior": "fixed_alpha", "alpha": post.alpha,
                                     "n": post.n, "seed": int(seed)})
-
-
-def draws_to_csv(drawset: PosteriorDrawSet, path, chunk: int = 256) -> None:
-    """Stream a draw set to CSV, one row per draw, to bound memory."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        fh.write("# " + json.dumps(drawset.provenance, sort_keys=True) + "\n")
-        w = csv.writer(fh)
-        for start in range(0, drawset.draws.shape[0], chunk):
-            for row in drawset.draws[start:start + chunk]:
-                w.writerow([repr(float(v)) for v in row])
 
 
 # ---------------------------------------------------------------------------
@@ -209,21 +179,6 @@ def hyperprior_logpdf(name: str, params: Tuple[float, ...], alpha: np.ndarray) -
     raise ValueError(f"unsupported hyperprior {name!r}")
 
 
-def hyperprior_condition_constants(name: str, params: Tuple[float, ...]) -> dict:
-    """Polynomial-times-exponential envelope constants (c2, c3, c4) for the
-    supported families, reported alongside hierarchical runs."""
-    if name == "exponential":
-        (rate,) = params
-        return {"c2": rate, "c3": 0.0, "c4": max(rate, 1.0 / rate)}
-    if name == "gamma":
-        shape, rate = params
-        return {"c2": rate, "c3": 1.0 - shape, "c4": math.exp(abs(gammaln(shape))) * max(rate, 1.0) ** shape}
-    if name == "inverse_gamma":
-        shape, rate = params
-        return {"c2": 0.0, "c3": shape + 1.0, "c4": math.exp(rate + abs(gammaln(shape))) * max(rate, 1.0) ** shape}
-    raise ValueError(f"unsupported hyperprior {name!r}")
-
-
 @dataclass(frozen=True)
 class HyperPosterior:
     """Grid-quadrature marginal posterior of alpha under a hyperprior."""
@@ -232,22 +187,11 @@ class HyperPosterior:
     log_weights: np.ndarray
     hyperprior: str
     hyperprior_params: Tuple[float, ...]
-    condition_constants: dict
     observation: NoisyObservation
 
     @property
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "schema": "credlab-hyper-v1",
-            "hyperprior": self.hyperprior,
-            "hyperprior_params": list(self.hyperprior_params),
-            "condition_constants": self.condition_constants,
-            "grid": [float(a) for a in self.grid],
-            "log_weights": [float(v) for v in self.log_weights],
-        })
 
 
 def _alpha_grid(alpha_min: float, a_n: float, grid_size: int) -> np.ndarray:
@@ -282,9 +226,7 @@ def hierarchical_marginal(obs: NoisyObservation, hyperprior: str = "exponential"
     ll = _loglik_grid(grid, k_log, ysq, n)
     logw = hyperprior_logpdf(hyperprior, hyperprior_params, grid) + ll + np.log(widths)
     logw -= logsumexp(logw)
-    return HyperPosterior(grid, logw, hyperprior, tuple(hyperprior_params),
-                          hyperprior_condition_constants(hyperprior, tuple(hyperprior_params)),
-                          obs)
+    return HyperPosterior(grid, logw, hyperprior, tuple(hyperprior_params), obs)
 
 
 def hierarchical_median(hp: HyperPosterior) -> float:

@@ -74,6 +74,15 @@ class ExperimentConfig:
             raise ValueError("gamma values must lie in (0,1)")
         if not all(n > 1 for n in self.n_list):
             raise ValueError("noise levels n must exceed 1")
+        kind, _, alpha = self.prior.partition(":")
+        try:
+            known = (self.prior in ("eb", "hb", "slabspike")
+                     or kind == "fixed" and float(alpha) >= 0)
+        except ValueError:
+            known = False
+        if not known:
+            raise ValueError(f"unknown prior {self.prior!r} "
+                             "(eb | hb | slabspike | fixed:<alpha >= 0>)")
         allowed = EXTRAS.get(self.experiment, ())
         unknown = sorted(set(self.extras) - set(allowed))
         if unknown:
@@ -209,45 +218,36 @@ def make_signal(cfg: ExperimentConfig, n: float):
     raise ValueError(f"unsupported signal {cfg.signal!r} for this experiment")
 
 
-def _parse_prior(prior: str):
-    if prior.startswith("fixed:"):
-        return "fixed", float(prior.split(":", 1)[1])
-    if prior in ("eb", "hb", "slabspike"):
-        return prior, None
-    raise ValueError(f"unknown prior {prior!r}")
+def _fit(cfg: ExperimentConfig, obs, prior: Optional[str] = None):
+    """Fit ``prior`` (default ``cfg.prior``) to ``obs``; returns (draw_fn,
+    byproducts) with draw_fn(M, seed) a PosteriorDrawSet.
 
-
-def _fit_gaussian(obs, prior: str):
-    """Fit eb/hb/fixed priors; returns (draw_fn, byproducts, alpha_summary)."""
-    kind, val = _parse_prior(prior)
-    if kind == "fixed":
-        post = gaussprior.posterior(obs, val)
-        byp = PosteriorByproducts(obs, posterior_mean=post.means, alpha_hat=val)
-        return (lambda M, seed: gaussprior.sample(post, M, seed)), byp, val
-    if kind == "eb":
-        eb = gaussprior.empirical_bayes_alpha(obs)
-        post = gaussprior.posterior(obs, eb.alpha_hat)
-        byp = PosteriorByproducts(obs, posterior_mean=post.means, alpha_hat=eb.alpha_hat)
-        return (lambda M, seed: gaussprior.sample(post, M, seed)), byp, eb.alpha_hat
-    if kind == "hb":
+    ``byproducts.alpha_hat`` is the fitted smoothness: alpha itself for
+    fixed:<alpha>, the likelihood maximizer for eb, the hyperposterior median
+    for hb, and None for slabspike.
+    """
+    prior = prior or cfg.prior
+    if prior == "slabspike":
+        post = slabspike.posterior(obs, slabspike.SlabSpikeConfig(tau=cfg.tau,
+                                                                  K_floor=cfg.K_floor))
+        est = slabspike.posterior_median(post)
+        t1 = slabspike.efficient_estimator(obs, est, post, 1)
+        byp = PosteriorByproducts(obs, posterior_mean=post.slab_weight * post.slab_mean,
+                                  threshold=est, efficient_center=t1)
+        return (lambda M, seed: slabspike.sample(post, M, seed)), byp
+    if prior == "hb":
         hp = gaussprior.hierarchical_marginal(obs)
         med = gaussprior.hierarchical_median(hp)
         mean = gaussprior.hierarchical_posterior_mean(hp, obs)
-        byp = PosteriorByproducts(obs, posterior_mean=mean, alpha_median=med,
-                                  alpha_hat=med)
-        return (lambda M, seed: gaussprior.sample_hierarchical(hp, obs, M, seed)), byp, med
-    raise ValueError(prior)
-
-
-def _fit_slabspike(obs, cfg: ExperimentConfig):
-    config = slabspike.SlabSpikeConfig(tau=cfg.tau, K_floor=cfg.K_floor)
-    post = slabspike.posterior(obs, config)
-    est = slabspike.posterior_median(post)
-    t1 = slabspike.efficient_estimator(obs, est, post, 1)
-    mean = post.slab_weight * post.slab_mean
-    byp = PosteriorByproducts(obs, posterior_mean=mean, threshold=est,
-                              efficient_center=t1)
-    return (lambda M, seed: slabspike.sample(post, M, seed)), byp
+        byp = PosteriorByproducts(obs, posterior_mean=mean, alpha_median=med, alpha_hat=med)
+        return (lambda M, seed: gaussprior.sample_hierarchical(hp, obs, M, seed)), byp
+    if prior == "eb":
+        alpha = gaussprior.empirical_bayes_alpha(obs).alpha_hat
+    else:
+        alpha = float(prior.split(":", 1)[1])
+    post = gaussprior.posterior(obs, alpha)
+    byp = PosteriorByproducts(obs, posterior_mean=post.means, alpha_hat=alpha)
+    return (lambda M, seed: gaussprior.sample(post, M, seed)), byp
 
 
 def _weights_for(cfg: ExperimentConfig, basis: BasisSpec) -> WeightSequence:
@@ -261,55 +261,50 @@ def _weights_for(cfg: ExperimentConfig, basis: BasisSpec) -> WeightSequence:
 def run_coverage(cfg: ExperimentConfig) -> Report:
     """Frequentist coverage of a credible-set variant over replications.
 
-    Per replication: fresh observation, prior fit, radius calibration on its
-    own draw batch, then membership of the true signal.  Gaussian-lane
-    variants default to the smoothness-intersected H(delta) set; the
-    slab-spike prior builds the two-stage multiscale band.
+    Per replication: fresh observation, prior fit and one draw batch, on
+    which the set is calibrated at every level, then membership of the true
+    signal in each.  Gaussian-lane variants default to the
+    smoothness-intersected H(delta) set; the slab-spike prior builds the
+    two-stage multiscale band.
     """
     variant = cfg.extras.get("variant")
-    rows = []
     diam_reps = int(cfg.extras.get("diam_reps", 10))
+    band = cfg.prior == "slabspike"
+    dn = NormSpec.sup() if band else NormSpec.l2()
+    rows = []
     for n in cfg.n_list:
         f0 = make_signal(cfg, n)
-        for gamma in cfg.gamma_list:
-            hits = failures = 0
-            radii, diams, alphas = [], [], []
-            for rep in range(cfg.reps):
-                s_obs, s_cal = rep_seeds(cfg.seed, rep, 2)
-                obs = observe(f0, n, s_obs)
-                if cfg.prior == "slabspike":
-                    draw_fn, byp = _fit_slabspike(obs, cfg)
-                    w = _weights_for(cfg, obs.basis)
-                    spec = CredibleSetSpec(variant or credsets.MULTISCALE_BAND, gamma,
-                                           weights=w, vn_power=cfg.vn_power)
-                    alphas.append(float("nan"))
-                else:
-                    draw_fn, byp, a = _fit_gaussian(obs, cfg.prior)
-                    spec = CredibleSetSpec(variant or credsets.H_DELTA_EB, gamma,
-                                           delta=cfg.delta)
-                    alphas.append(a)
-                draws = draw_fn(cfg.draws, s_cal)
-                try:
-                    cset = build_set(spec, draws, byp)
-                except ValueError:
-                    failures += 1
-                    continue
-                radii.append(cset.radius)
-                if cset.contains(f0.coeffs).member:
-                    hits += 1
+        if band:
+            spec = CredibleSetSpec(variant or credsets.MULTISCALE_BAND, cfg.gamma_list[0],
+                                   weights=_weights_for(cfg, f0.basis), vn_power=cfg.vn_power)
+        else:
+            spec = CredibleSetSpec(variant or credsets.H_DELTA_EB, cfg.gamma_list[0],
+                                   delta=cfg.delta)
+        levels = range(len(cfg.gamma_list))
+        hits = [0 for _ in levels]
+        radii, diams = [[] for _ in levels], [[] for _ in levels]
+        alphas = []
+        for rep in range(cfg.reps):
+            s_obs, s_cal = rep_seeds(cfg.seed, rep, 2)
+            obs = observe(f0, n, s_obs)
+            draw_fn, byp = _fit(cfg, obs)
+            if not band:
+                alphas.append(byp.alpha_hat)
+            draws = draw_fn(cfg.draws, s_cal)
+            for i, cset in enumerate(build_set(spec, draws, byp, cfg.gamma_list)):
+                radii[i].append(cset.radius)
+                hits[i] += cset.contains(f0.coeffs).member
                 if rep < diam_reps:
-                    dn = NormSpec.sup() if cfg.prior == "slabspike" else NormSpec.l2()
                     try:
-                        diams.append(diameter_estimate(cset, draws, dn))
-                    except ValueError:
+                        diams[i].append(diameter_estimate(cset, draws, dn))
+                    except ValueError:   # fewer than two member draws
                         pass
-            done = cfg.reps - failures
-            p = hits / done if done else float("nan")
-            ci = 1.96 * math.sqrt(p * (1 - p) / done) if done else float("nan")
-            finite = [a for a in alphas if not math.isnan(a)]
-            rows.append((n, gamma, p, ci, float(np.mean(radii)),
-                         float(np.mean(diams)) if diams else float("nan"),
-                         float(np.mean(finite)) if finite else float("nan"), done))
+        for i, gamma in enumerate(cfg.gamma_list):
+            p = hits[i] / cfg.reps
+            ci = 1.96 * math.sqrt(p * (1 - p) / cfg.reps)
+            rows.append((n, gamma, p, ci, float(np.mean(radii[i])),
+                         float(np.mean(diams[i])) if diams[i] else float("nan"),
+                         float(np.mean(alphas)) if alphas else float("nan"), cfg.reps))
     return Report("coverage",
                   ("n", "gamma", "coverage", "ci_half_width", "mean_radius",
                    "mean_diameter", "mean_alpha", "replications"),
@@ -332,17 +327,16 @@ def run_oversmoothing_demo(cfg: ExperimentConfig) -> Report:
 
 def _l2_sets(cfg: ExperimentConfig, obs):
     """Gaussian lane: the smoothed H(delta) set (A) and the l2 ball (B)."""
-    draw_fn, byp, _ = _fit_gaussian(obs, cfg.prior)
-    variant = credsets.H_DELTA_EB if byp.alpha_hat is not None else credsets.H_DELTA_HB
+    draw_fn, byp = _fit(cfg, obs)
     gamma = cfg.gamma_list[0]
-    return draw_fn, byp, (CredibleSetSpec(variant, gamma, delta=cfg.delta),
+    return draw_fn, byp, (CredibleSetSpec(credsets.H_DELTA_EB, gamma, delta=cfg.delta),
                           CredibleSetSpec(credsets.L2_BALL, gamma))
 
 
 def _band_sets(cfg: ExperimentConfig, obs):
     """Slab-and-spike lane: the two-stage band (A) against the sup-norm ball
     (B), both centered at the efficient estimator."""
-    draw_fn, byp = _fit_slabspike(obs, cfg)
+    draw_fn, byp = _fit(cfg, obs, "slabspike")
     w = _weights_for(cfg, obs.basis)
     gamma = cfg.gamma_list[0]
     return draw_fn, byp, (
@@ -442,7 +436,7 @@ def loglog_slope(ns, values) -> float:
 def run_radius_scaling(cfg: ExperimentConfig) -> Report:
     """l2 credible radius at fixed alpha and smoothed-set l2 diameter under
     empirical Bayes, against n; slopes estimated by log-log regression."""
-    _, alpha = _parse_prior(cfg.prior) if cfg.prior.startswith("fixed") else ("fixed", 1.0)
+    fixed = cfg.prior if cfg.prior.startswith("fixed:") else "fixed:1.0"
     gamma = cfg.gamma_list[0]
     rows = []
     mean_radii, mean_diams = [], []
@@ -452,12 +446,11 @@ def run_radius_scaling(cfg: ExperimentConfig) -> Report:
         for rep in range(cfg.reps):
             s_obs, s_cal = rep_seeds(cfg.seed, rep, 2)
             obs = observe(f0, n, s_obs)
-            post = gaussprior.posterior(obs, alpha)
-            bypF = PosteriorByproducts(obs, posterior_mean=post.means, alpha_hat=alpha)
-            draws = gaussprior.sample(post, cfg.draws, s_cal)
-            fixed_set = build_set(CredibleSetSpec(credsets.L2_BALL, gamma), draws, bypF)
+            draw_fn, fixed_byp = _fit(cfg, obs, fixed)
+            fixed_set = build_set(CredibleSetSpec(credsets.L2_BALL, gamma),
+                                  draw_fn(cfg.draws, s_cal), fixed_byp)
             radii.append(fixed_set.radius)
-            draw_fn, byp, _ = _fit_gaussian(obs, "eb")
+            draw_fn, byp = _fit(cfg, obs, "eb")
             eb_draws = draw_fn(cfg.draws, s_cal)
             eb_set = build_set(CredibleSetSpec(credsets.H_DELTA_EB, gamma,
                                                delta=cfg.delta), eb_draws, byp)
@@ -470,6 +463,7 @@ def run_radius_scaling(cfg: ExperimentConfig) -> Report:
     meta = _meta(cfg)
     meta["radius_slope"] = slope_r
     meta["diameter_slope"] = slope_d
+    alpha = fixed_byp.alpha_hat
     meta["theory_slope"] = -alpha / (2 * alpha + 1)
     return Report("radius_scaling",
                   ("n", "gamma", "mean_l2_radius_fixed_alpha", "mean_l2_diameter_eb"),
@@ -578,8 +572,7 @@ def run_dirichlet_demo(cfg: ExperimentConfig) -> Report:
     for n in cfg.n_list:
         L = dirichlethist.default_resolution(int(n))
         basis = dirichlethist.haar_basis_for(L)
-        w = WeightSequence.power_law(eps, max(basis.max_index, 1))
-        wvec = w.per_position(basis)
+        ms = NormSpec.multiscale(WeightSequence.power_law(eps, basis.max_index))
         truth = seqmodel.truncated_laplace_signal(0.5, 5.0, basis)
         covered = 0
         env_done = False
@@ -591,13 +584,11 @@ def run_dirichlet_demo(cfg: ExperimentConfig) -> Report:
             heights = dirichlethist.sample_heights(dpost, cfg.draws, s_draws)
             coefs = dirichlethist.haar_coefficients(heights, L)
             mean_coefs = dirichlethist.haar_coefficients(dpost.mean_heights(), L)
-            dist = np.max(np.abs(coefs - mean_coefs) / wvec, axis=1)
-            radius = float(np.sort(dist)[math.ceil((1 - gamma) * cfg.draws) - 1])
-            in_set = float(np.max(np.abs(truth.coeffs - mean_coefs) / wvec)) <= radius
-            covered += in_set
+            radius = credsets.calibrate_radius(coefs, mean_coefs, ms, gamma, basis)
+            covered += float(seqmodel.norm(truth.coeffs - mean_coefs, ms, basis)) <= radius
             if not env_done and cfg.out_dir:
                 _emit_dirichlet_envelopes(cfg, n, grid, basis, coefs, mean_coefs,
-                                          dist, radius, heights, gamma)
+                                          ms, radius, gamma)
                 env_done = True
         p = covered / cfg.reps
         ci = 1.96 * math.sqrt(p * (1 - p) / cfg.reps)
@@ -607,16 +598,16 @@ def run_dirichlet_demo(cfg: ExperimentConfig) -> Report:
                   rows, _meta(cfg))
 
 
-def _emit_dirichlet_envelopes(cfg, n, grid, basis, coefs, mean_coefs, dist,
-                              radius, heights, gamma):
+def _emit_dirichlet_envelopes(cfg, n, grid, basis, coefs, mean_coefs, ms,
+                              radius, gamma):
     """Retained-draw envelope, sup-norm band, mean and truth on a plot grid."""
     vals = seqmodel.evaluate_function(coefs, grid, basis)
-    keep = dist <= radius
+    keep = seqmodel.norm(coefs - mean_coefs, ms, basis) <= radius
     lo = vals[keep].min(axis=0)
     hi = vals[keep].max(axis=0)
     mean_vals = seqmodel.evaluate_function(mean_coefs, grid, basis)
     sup_d = np.max(np.abs(vals - mean_vals), axis=1)
-    q = float(np.sort(sup_d)[math.ceil((1 - gamma) * len(sup_d)) - 1])
+    q = credsets.order_statistic_radius(sup_d, gamma)
     truth_vals = seqmodel.TruncatedLaplace(0.5, 5.0).pdf(grid)
     path = os.path.join(cfg.out_dir, f"dirichlet_band_n{int(n)}.csv")
     os.makedirs(cfg.out_dir, exist_ok=True)

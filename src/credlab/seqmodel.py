@@ -11,8 +11,6 @@ of its support and -1 on the right half; coefficient signs depend on this.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -24,8 +22,6 @@ VOLTERRA_SVD = "volterra_svd"
 HAAR_WAVELET = "haar_wavelet"
 
 _BASIS_KINDS = (FOURIER_SINE, VOLTERRA_SVD, HAAR_WAVELET)
-
-COEFFS_SCHEMA = "credlab-coeffs-v1"
 
 
 # ---------------------------------------------------------------------------
@@ -515,55 +511,3 @@ def check_self_similar_sup(f: SignalCoefficients, beta: float, R: float, eps: fl
     """||K_j f - f||_inf >= eps * 2^{-j beta} for all j0 <= j < j_hi."""
     return sup_selfsim_margin(f, beta, j0, j_hi) >= eps
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def coeffs_to_csv(x: SignalCoefficients, path) -> None:
-    """index,value for Fourier-type or level,position,value for Haar
-    (the scaling coefficient is written as level -1)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if x.basis.is_wavelet:
-            w.writerow(["level", "position", "value"])
-            lev = wavelet_levels(x.basis)
-            pos = np.arange(x.basis.size) - 2 ** np.maximum(lev, 0) * (lev >= 0)
-            for l, p, v in zip(lev, pos, x.coeffs):
-                w.writerow([l, p, repr(float(v))])
-        else:
-            w.writerow(["index", "value"])
-            for i, v in enumerate(x.coeffs, start=1):
-                w.writerow([i, repr(float(v))])
-
-
-def coeffs_to_json(x: SignalCoefficients, n: Optional[float] = None,
-                   seed: Optional[int] = None) -> str:
-    env = {
-        "schema": COEFFS_SCHEMA,
-        "basis": {"kind": x.basis.kind, "max_index": x.basis.max_index},
-        "coeffs": [float(v) for v in x.coeffs],
-    }
-    if n is not None:
-        env["n"] = float(n)
-    if seed is not None:
-        env["seed"] = int(seed)
-    return json.dumps(env)
-
-
-def coeffs_from_json(text: str):
-    """Returns (SignalCoefficients, n, seed); n/seed are None when absent."""
-    env = json.loads(text)
-    if env.get("schema") != COEFFS_SCHEMA:
-        raise ValueError(f"unsupported schema {env.get('schema')!r}")
-    basis = BasisSpec(env["basis"]["kind"], int(env["basis"]["max_index"]))
-    sc = SignalCoefficients(basis, np.asarray(env["coeffs"], dtype=float))
-    return sc, env.get("n"), env.get("seed")
-
-
-def evaluation_to_csv(grid, values, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "value"])
-        for x, v in zip(grid, values):
-            w.writerow([repr(float(x)), repr(float(v))])

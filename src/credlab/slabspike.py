@@ -9,8 +9,6 @@ median is a thresholding rule with closed-form Gaussian-CDF algebra.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -113,21 +111,6 @@ class SlabSpikePosterior:
     def jn(self) -> int:
         return self.config.jn(self.n)
 
-    def summary_json(self) -> str:
-        return json.dumps({
-            "schema": "credlab-slabspike-v1",
-            "n": self.n,
-            "j0": self.j0,
-            "jn": self.jn,
-            "tau": self.config.tau,
-            "K_floor": self.config.K_floor,
-            "crossover_level": self.config.crossover_level(self.n),
-            "mean_slab_weight_by_level": {
-                str(l): float(np.mean(self.slab_weight[self.levels == l]))
-                for l in range(-1, self.basis.max_index + 1)
-            },
-        })
-
 
 def posterior(obs: NoisyObservation, config: SlabSpikeConfig) -> SlabSpikePosterior:
     """Coordinate-wise posterior; requires the basis to resolve level Jn."""
@@ -203,15 +186,6 @@ class ThresholdEstimate:
     basis: BasisSpec
     median_coeffs: np.ndarray
     support: np.ndarray  # boolean mask over flattened positions
-
-    def support_to_csv(self, path) -> None:
-        lev = wavelet_levels(self.basis)
-        pos = np.arange(self.basis.size) - 2 ** np.maximum(lev, 0) * (lev >= 0)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["level", "position"])
-            for l, p in zip(lev[self.support], pos[self.support]):
-                w.writerow([int(l), int(p)])
 
 
 def _mixture_median(sw, mean, sd):

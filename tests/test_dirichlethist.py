@@ -99,10 +99,10 @@ def test_haar_coefficients_match_exact_signal_restriction():
     assert np.allclose(got, truth.coeffs, atol=1e-12)
 
 
-def test_density_coefficients_roundtrip_shape():
+def test_haar_coefficients_shape_and_simplex_check():
     L = 2
-    sc = dh.density_coefficients(np.array([0.2, 0.3, 0.4, 0.1]), L)
-    assert sc.basis.max_index == L - 1
-    assert sc.coeffs.size == 2 ** L
+    coeffs = dh.haar_coefficients(np.array([0.2, 0.3, 0.4, 0.1]), L)
+    assert dh.haar_basis_for(L).max_index == L - 1
+    assert coeffs.shape == (2 ** L,)
     with pytest.raises(ValueError):
         dh.haar_coefficients(np.array([0.5, 0.2]), 1)  # not a simplex point

@@ -145,19 +145,6 @@ def test_sampling_determinism_and_law():
     assert abs(big[:, k].var() - post.variances[k]) < 4 * se_var
 
 
-def test_draws_stream_to_csv(tmp_path):
-    obs = make_obs(n=50.0, K=8)
-    post = gp.posterior(obs, 1.0)
-    ds = gp.sample(post, 30, 4)
-    p = tmp_path / "draws.csv"
-    gp.draws_to_csv(ds, p, chunk=7)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0].startswith("# ")
-    assert len(lines) == 31
-    back = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    assert np.array_equal(back, ds.draws)
-
-
 def test_degenerate_variance_draws_collapse_to_means():
     obs = make_obs(n=1e12, K=16)
     post = gp.posterior(obs, 1.0)
@@ -170,7 +157,7 @@ def test_posterior_mean_matches_draw_average():
     post = gp.posterior(obs, 1.0)
     draws = gp.sample(post, 10 ** 5, 1).draws
     se = 4 * np.sqrt(post.variances / draws.shape[0])
-    assert np.all(np.abs(draws.mean(axis=0) - gp.posterior_mean(post)) < se + 1e-12)
+    assert np.all(np.abs(draws.mean(axis=0) - post.means) < se + 1e-12)
     shrink = post.means / obs.y
     assert np.all(np.diff(shrink) < 1e-15)  # shrinkage factor decreasing in k
 
@@ -182,7 +169,6 @@ def test_posterior_mean_matches_draw_average():
 def test_hierarchical_weights_normalized():
     hp = gp.hierarchical_marginal(make_obs())
     assert abs(hp.weights.sum() - 1.0) < 1e-12
-    assert hp.condition_constants["c4"] >= 1.0
 
 
 def test_hierarchical_degenerate_hyperprior_concentrates():
@@ -212,11 +198,11 @@ def test_hierarchical_flat_likelihood_matches_hyperprior_quadrature():
 def test_hierarchical_median_conventions():
     grid = np.linspace(0.1, 3.0, 601)
     logw = np.full(601, -math.log(601))
-    hp = gp.HyperPosterior(grid, logw, "exponential", (1.0,), {}, make_obs(K=4))
+    hp = gp.HyperPosterior(grid, logw, "exponential", (1.0,), make_obs(K=4))
     assert gp.hierarchical_median(hp) == pytest.approx(grid[300])
     one = np.full(601, -np.inf)
     one[77] = 0.0
-    hp2 = gp.HyperPosterior(grid, one, "exponential", (1.0,), {}, make_obs(K=4))
+    hp2 = gp.HyperPosterior(grid, one, "exponential", (1.0,), make_obs(K=4))
     assert gp.hierarchical_median(hp2) == pytest.approx(grid[77])
 
 
@@ -246,7 +232,7 @@ def test_sample_hierarchical_degenerate_matches_fixed_alpha():
     obs = make_obs(n=50.0, K=16, seed=9)
     grid = np.array([0.3, 1.1, 2.0])
     logw = np.array([-np.inf, 0.0, -np.inf])
-    hp = gp.HyperPosterior(grid, logw, "exponential", (1.0,), {}, obs)
+    hp = gp.HyperPosterior(grid, logw, "exponential", (1.0,), obs)
     hier = gp.sample_hierarchical(hp, obs, 5000, 11).draws
     post = gp.posterior(obs, 1.1)
     fixed = gp.sample(post, 5000, 12).draws

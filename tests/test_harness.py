@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from credlab import cli, harness as hz
+
+DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
 
 
 def tiny_cfg(experiment, **over):
@@ -54,12 +57,16 @@ def test_end_to_end_determinism_checksums(tmp_path):
 
 
 # sha256 of each report as written by commit 106f9ea, whose joint-credibility
-# loop calibrated and tested every gamma with its own distance passes, and
-# of the negative-BvM report as written by commit 01b5c74, whose samplers
-# drew dense M x K matrices (numpy 2.4, x86-64).  Sharing those passes
-# across gamma and drawing only the slab entries must not move a single
-# byte.
+# loop calibrated and tested every gamma with its own distance passes, of the
+# negative-BvM report as written by commit 01b5c74, whose samplers drew dense
+# M x K matrices, and of the coverage, oversmoothing and Dirichlet reports as
+# written by commit 677c7f9, whose coverage runner observed, fitted and drew
+# each replication once per gamma and whose Dirichlet demo read its radii by
+# hand (numpy 2.4, x86-64).  Sharing those passes across gamma, drawing only
+# the slab entries and calibrating every radius by one rule must not move a
+# single byte.
 SMALL = ["--n", "500", "--draws", "200", "--reps", "2"]
+DIRICHLET_SMALL = ["dirichlet", "--n", "1000,2000", "--draws", "200", "--reps", "2"]
 PINNED_REPORTS = {
     "indep_l2_eb": (["indep-l2", *SMALL, "--gamma", "0.05,0.2"], "independence_l2.csv",
                     "e3b1a702f56920734177a7d790499927b954ae4266a8572e3db57710d63b967f"),
@@ -81,6 +88,20 @@ PINNED_REPORTS = {
     # 250 draws stream as one full chunk of 200 and one partial chunk
     "neg_bvm": (["neg-bvm", "--draws", "250", "--reps", "2"], "negative_bvm.csv",
                 "72e12495adb53e6f41da79d794ad0f85eb0d43dc65548cebb2900bc3cd356e82"),
+    "coverage_eb_gammas": (["coverage", *SMALL, "--gamma", "0.05,0.2"], "coverage.csv",
+                           "a927f910ec0085941d4e57b00debf859f1c84f8944f73f1ae10c9bfe13e70227"),
+    "coverage_band_gammas": (["coverage", *SMALL, "--gamma", "0.05,0.2",
+                              "--prior", "slabspike", "--signal", "truncated_laplace:0.5:5.0"],
+                             "coverage.csv",
+                             "6933afdf54b4c8cbbaa11a9843f91107e9ecf9e8e7fafd9d8f44b54ae47b559d"),
+    "coverage_hb": (["coverage", *SMALL, "--prior", "hb"], "coverage.csv",
+                    "01952e14d9ce3bb4d8004be13e9a946eb88196ff3f910e4bc1e40f048529b3d0"),
+    "oversmooth": (["oversmooth", *SMALL], "oversmoothing_demo.csv",
+                   "3819989e7fb801fe27823074eff22097f6cbffd38e2d9d086e23fd21984c79d5"),
+    "dirichlet_summary": (DIRICHLET_SMALL, "dirichlet_demo.csv",
+                          "615b4163056fa6612122644789ea6949f7e79a39c91432b778b784ac0479ec07"),
+    "dirichlet_band": (DIRICHLET_SMALL, "dirichlet_band_n1000.csv",
+                       "f97228d4dd98cb064b322d3d3bc0e7c3790a58033f295fe363594a8db568fd66"),
 }
 
 
@@ -96,10 +117,29 @@ def test_negative_bvm_matches_golden_file(tmp_path):
     byte for byte."""
     path = hz.emit(hz.run_negative_bvm(hz.ExperimentConfig.defaults("negative_bvm")),
                    "csv", str(tmp_path / "negative_bvm.csv"))
-    golden = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "output",
-                          "negative_bvm.csv")
+    golden = os.path.join(DEMOS, "output", "negative_bvm.csv")
     with open(path, "rb") as got, open(golden, "rb") as want:
         assert got.read() == want.read()
+
+
+@pytest.mark.parametrize("script, subdir", [
+    ("01_dirichlet_histogram_bands.py", "dirichlet"),
+    ("02_empirical_bayes_credible_sets.py", "fourier"),
+    ("04_slab_spike_bands.py", "slabspike"),
+])
+def test_demo_outputs_match_golden_files(tmp_path, script, subdir):
+    """A demo run with its output directory moved writes the committed demo
+    outputs byte for byte, and nothing else."""
+    spec = importlib.util.spec_from_file_location(script[:-3], os.path.join(DEMOS, script))
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    demo.OUT = str(tmp_path)
+    demo.main()
+    golden = os.path.join(DEMOS, "output", subdir)
+    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(golden))
+    for name in os.listdir(golden):
+        with open(os.path.join(golden, name), "rb") as want:
+            assert (tmp_path / name).read_bytes() == want.read(), name
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +183,11 @@ def test_config_validation():
         hz.ExperimentConfig("coverage", gamma_list=(1.5,))
     with pytest.raises(ValueError):
         hz.ExperimentConfig("coverage", draws=5)
+    for prior in ("foo", "fixed:-1", "fixed:", "fixed:abc", "fixed:nan"):
+        with pytest.raises(ValueError, match="unknown prior"):
+            hz.ExperimentConfig("coverage", prior=prior)
+    for prior in ("eb", "hb", "slabspike", "fixed:0", "fixed:2.5"):
+        assert hz.ExperimentConfig("coverage", prior=prior).prior == prior
 
 
 def test_oversmoothing_demo_leaves_config_unchanged():
@@ -180,6 +225,21 @@ def test_dirichlet_band_envelopes_contain_mean(tmp_path):
     rows = [list(map(float, ln.split(","))) for ln in lines[2:]]
     for x, lo, hi, mean, truth in rows:
         assert lo <= mean <= hi
+
+
+def test_coverage_fits_and_draws_once_per_replication(monkeypatch):
+    calls = []
+    sample = hz.gaussprior.sample
+    monkeypatch.setattr(hz.gaussprior, "sample",
+                        lambda *a, **k: calls.append(1) or sample(*a, **k))
+    cfg = tiny_cfg("coverage", reps=3, draws=40, prior="fixed:1.0",
+                   gamma_list=(0.05, 0.1, 0.2))
+    rows = hz.run_coverage(cfg).row_dicts()
+    assert len(calls) == 3
+    assert [r["gamma"] for r in rows] == [0.05, 0.1, 0.2]
+    assert all(r["replications"] == 3 for r in rows)
+    radii = [r["mean_radius"] for r in rows]
+    assert radii[0] >= radii[1] >= radii[2]
 
 
 def test_coverage_ci_half_width_formula():
@@ -247,8 +307,45 @@ def test_cli_empty_fresh_set_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "n=200 gamma=0.9 replication 1" in err and "set B" in err
+    assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("flags, variant, message", [
+    # the sup norm lives on the Haar basis, not on the Fourier lane
+    (["--n", "200"], "SupBall", "sup norm requires a wavelet basis"),
+    # the slab-and-spike fit has no smoothness for the H(delta) constraint
+    (["--n", "2000", "--prior", "slabspike", "--signal", "truncated_laplace:0.5:5.0"],
+     "HDeltaIntersectEB", "HDeltaIntersectEB needs alpha_hat"),
+])
+def test_cli_coverage_variant_errors_exit_2(tmp_path, capsys, flags, variant, message):
+    conf = tmp_path / "run.cfg"
+    conf.write_text(f"variant = {variant}\n")
+    out = tmp_path / "out"
+    rc = cli.main(["coverage", "--draws", "40", "--reps", "2", "--config", str(conf),
+                   "--out", str(out)] + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_cli_unknown_prior_is_a_config_error(tmp_path, capsys):
+    argv = ["coverage", "--prior", "foo", "--out", str(tmp_path)]
+    with pytest.raises(ValueError, match="unknown prior"):
+        cli.make_config(cli.build_parser().parse_args(argv))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: unknown prior 'foo'")
+    assert not os.listdir(tmp_path)
+
+
+def test_cli_dirichlet_small_n(tmp_path):
+    # n = 200 resolves to the smallest histogram, 2^2 bins
+    assert cli.main(["dirichlet", "--n", "200", "--reps", "2", "--draws", "40",
+                     "--out", str(tmp_path)]) == 0
+    rows = hz.parse_report(str(tmp_path / "dirichlet_demo.csv")).row_dicts()
+    assert rows[0]["L"] == 2 and rows[0]["replications"] == 2
 
 
 @pytest.mark.parametrize("command, lines, ok", [

@@ -298,37 +298,3 @@ def test_selfsim_sup_laplace_scan():
     assert margin > 0
     assert sm.check_self_similar_sup(f, 1.4, 1.0, 0.5 * margin, 1, 8)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_json_envelope_roundtrip():
-    b = BasisSpec(sm.HAAR_WAVELET, 3)
-    f = sm.truncated_laplace_signal(0.5, 5.0, b)
-    text = sm.coeffs_to_json(f, n=200.0, seed=9)
-    g, n, seed = sm.coeffs_from_json(text)
-    assert np.array_equal(f.coeffs, g.coeffs)
-    assert g.basis == b and n == 200.0 and seed == 9
-
-
-def test_csv_emission(tmp_path):
-    b = BasisSpec(sm.FOURIER_SINE, 4)
-    f = sm.power_sine_signal(1.5, 1.0, b)
-    p = tmp_path / "coef.csv"
-    sm.coeffs_to_csv(f, p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "index,value"
-    assert len(lines) == 5
-    bw = BasisSpec(sm.HAAR_WAVELET, 2)
-    fw = sm.truncated_laplace_signal(0.5, 5.0, bw)
-    pw = tmp_path / "coefw.csv"
-    sm.coeffs_to_csv(fw, pw)
-    lines = pw.read_text().strip().splitlines()
-    assert lines[0] == "level,position,value"
-    assert lines[1].startswith("-1,0,")
-
-    g = tmp_path / "eval.csv"
-    xs = np.linspace(0, 1, 5)
-    sm.evaluation_to_csv(xs, sm.evaluate_function(f, xs), g)
-    assert g.read_text().splitlines()[0] == "x,value"

@@ -267,19 +267,6 @@ def test_threshold_estimate_support_structure():
     assert np.array_equal(est.support, est.median_coeffs != 0)
 
 
-def test_support_serialization(tmp_path):
-    f0, obs = laplace_obs(200.0, seed=10)
-    post = ss.posterior(obs, ss.SlabSpikeConfig())
-    est = ss.posterior_median(post)
-    p = tmp_path / "support.csv"
-    est.support_to_csv(p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "level,position"
-    assert len(lines) == 1 + est.support.sum()
-    summary = post.summary_json()
-    assert "crossover_level" in summary
-
-
 # ---------------------------------------------------------------------------
 # efficient estimators
 # ---------------------------------------------------------------------------
