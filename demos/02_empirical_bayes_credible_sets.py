@@ -15,7 +15,6 @@ import os
 import numpy as np
 
 from credlab import credsets as cset
-from credlab import gaussprior as gp
 from credlab import seqmodel as sm
 
 OUT = os.path.join(os.path.dirname(__file__), "output", "fourier")
@@ -33,21 +32,18 @@ def main():
         basis = sm.BasisSpec(sm.FOURIER_SINE, sm.default_fourier_truncation(n))
         f0 = sm.power_sine_signal(1.5, 1.0, basis)
         obs = sm.observe(f0, n, seed=426)
-        eb = gp.empirical_bayes_alpha(obs)
-        post = gp.posterior(obs, eb.alpha_hat)
-        byp = cset.PosteriorByproducts(obs, posterior_mean=post.means,
-                                       alpha_hat=eb.alpha_hat)
-        draws = gp.sample(post, 2000, seed=415)
+        fitted = cset.fit(obs, "eb")
+        draws = fitted.sample(2000, seed=415).draws
         smoothed = cset.build_set(cset.CredibleSetSpec(cset.H_DELTA_EB, 0.05),
-                                  draws, byp)
+                                  draws, fitted)
         l2ball = cset.build_set(cset.CredibleSetSpec(cset.L2_BALL, 0.05),
-                                draws, byp)
-        keep_s = smoothed.membership(draws.draws)
-        keep_l = l2ball.membership(draws.draws)
-        lo_s, hi_s = envelope(draws.draws, keep_s, grid, basis)
-        lo_l, hi_l = envelope(draws.draws, keep_l, grid, basis)
+                                draws, fitted)
+        keep_s = smoothed.membership(draws)
+        keep_l = l2ball.membership(draws)
+        lo_s, hi_s = envelope(draws, keep_s, grid, basis)
+        lo_l, hi_l = envelope(draws, keep_l, grid, basis)
         truth = sm.evaluate_function(f0, grid)
-        mean = sm.evaluate_function(post.means, grid, basis)
+        mean = sm.evaluate_function(fitted.posterior_mean, grid, basis)
         path = os.path.join(OUT, f"eb_sets_n{int(n)}.csv")
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -55,7 +51,7 @@ def main():
                         "l2_lo", "l2_hi"])
             for i, x in enumerate(grid):
                 w.writerow([x, truth[i], mean[i], lo_s[i], hi_s[i], lo_l[i], hi_l[i]])
-        print(f"n={int(n):>5}: alpha_hat={eb.alpha_hat:.2f}  "
+        print(f"n={int(n):>5}: alpha_hat={fitted.alpha_hat:.2f}  "
               f"kept {keep_s.sum()}/{len(keep_s)} (smoothed), "
               f"{keep_l.sum()}/{len(keep_l)} (l2)  -> {path}")
 

@@ -30,21 +30,16 @@ def main():
         basis = sm.BasisSpec(sm.HAAR_WAVELET, sm.default_wavelet_truncation(n))
         f0 = sm.truncated_laplace_signal(0.5, 5.0, basis)
         obs = sm.observe(f0, n, seed=909)
-        post = ss.posterior(obs, ss.SlabSpikeConfig())
-        est = ss.posterior_median(post)
-        t1 = ss.efficient_estimator(obs, est, post, 1)
-        byp = cset.PosteriorByproducts(obs,
-                                       posterior_mean=post.slab_weight * post.slab_mean,
-                                       threshold=est, efficient_center=t1)
-        draws = ss.sample(post, 2000, seed=910)
+        fitted = cset.fit(obs, "slabspike")
+        draws = fitted.sample(2000, seed=910).draws
         w = sm.WeightSequence.power_law(0.5, basis.max_index)
         ball = cset.build_set(cset.CredibleSetSpec(cset.MULTISCALE_BALL, 0.05,
-                                                   weights=w), draws, byp)
-        keep = ball.membership(draws.draws)
-        vals = sm.evaluate_function(draws.draws, grid, basis)
+                                                   weights=w), draws, fitted)
+        keep = ball.membership(draws)
+        vals = sm.evaluate_function(draws, grid, basis)
         ms_lo, ms_hi = vals[keep].min(axis=0), vals[keep].max(axis=0)
         pw_lo, pw_hi = cset.pointwise_band(draws, basis, grid, 0.05)
-        mean_vals = sm.evaluate_function(byp.posterior_mean, grid, basis)
+        mean_vals = sm.evaluate_function(fitted.posterior_mean, grid, basis)
         sup_d = np.max(np.abs(vals - mean_vals), axis=1)
         q = cset.order_statistic_radius(sup_d, 0.05)
         truth = sm.TruncatedLaplace(0.5, 5.0).pdf(grid)
@@ -60,15 +55,16 @@ def main():
         peak = np.argmin(np.abs(grid - 0.5))
         inside_pt = pw_lo[peak] <= truth[peak] <= pw_hi[peak]
         inside_ms = ms_lo[peak] <= truth[peak] <= ms_hi[peak]
-        print(f"n={int(n):>4}: j0={post.j0} support={est.support.sum():>3}  "
+        print(f"n={int(n):>4}: j0={fitted.post.j0} "
+              f"support={fitted.threshold.support.sum():>3}  "
               f"peak inside pointwise band: {inside_pt}, "
               f"inside multiscale envelope: {inside_ms}  -> {path}")
 
         # oversmoothing contrast: a prior fitting only levels <= 2 produces
         # much tighter pointwise intervals that miss the density at its peak
-        over = ss.posterior(obs, ss.SlabSpikeConfig(j0_rule=("explicit", 2),
-                                                    tau=60.0))
-        odraws = ss.sample(over, 2000, seed=911)
+        over = cset.fit(obs, "slabspike",
+                        ss.SlabSpikeConfig(j0_rule=("explicit", 2), tau=60.0))
+        odraws = over.sample(2000, seed=911).draws
         o_lo, o_hi = cset.pointwise_band(odraws, basis, grid, 0.05)
         print(f"        oversmoothed pointwise band contains peak: "
               f"{bool(o_lo[peak] <= truth[peak] <= o_hi[peak])} "

@@ -69,7 +69,8 @@ def _parse_list(text: str, cast):
 
 def make_config(args: argparse.Namespace) -> harness.ExperimentConfig:
     """Preset for the subcommand with config-file values and flags applied;
-    the result is validated again after the overrides."""
+    the result is validated again after the overrides.  A flag or config key
+    the experiment never reads is rejected."""
     cfg = harness.ExperimentConfig.defaults(SUBCOMMANDS[args.command])
     file_vals = read_config_file(args.config) if args.config else {}
 
@@ -82,6 +83,10 @@ def make_config(args: argparse.Namespace) -> harness.ExperimentConfig:
                  ("draws", "draws", int), ("reps", "reps", int),
                  ("seed", "seed", int), ("prior", "prior", str),
                  ("signal", "signal", str), ("format", "fmt", str))
+    unread = [flag for flag in harness.UNREAD_FLAGS.get(cfg.experiment, ())
+              if pick(flag) is not None]
+    if unread:
+        raise ValueError(f"{args.command} does not read --{', --'.join(unread)}")
     fields = {attr: cast(pick(flag)) for flag, attr, cast in overrides
               if pick(flag) is not None}
     out = pick("out")

@@ -1,17 +1,19 @@
-"""Quantile calibration of credible radii and every credible-set geometry:
-plain balls in H(delta), l2, M(w) and sup norms, the smoothness-intersected
-variants and the two-stage multiscale band; pointwise bands for comparison.
+"""The fitted posterior every credible set is built from, quantile
+calibration of credible radii and every credible-set geometry: plain balls
+in H(delta), l2, M(w) and sup norms, the smoothness-intersected variants and
+the two-stage multiscale band; pointwise bands for comparison.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
-from . import seqmodel
+from . import gaussprior, seqmodel, slabspike
+from .gaussprior import AlphaPosterior, HyperPosterior
 from .seqmodel import (
     BasisSpec,
     NormSpec,
@@ -21,8 +23,7 @@ from .seqmodel import (
     norm,
     wavelet_levels,
 )
-from .gaussprior import PosteriorDrawSet
-from .slabspike import ThresholdEstimate
+from .slabspike import SlabSpikeConfig, SlabSpikePosterior, ThresholdEstimate
 
 L2_BALL = "L2Ball"
 H_DELTA_BALL = "HDeltaBall"
@@ -46,7 +47,9 @@ DEFAULT_DELTA = 2.1
 # smoothness against the upward spread of the likelihood maximizer.
 SMOOTH_C = 1.0
 SMOOTH_EPS_NUM = 4.0
-HB_SHIFT_C = 1.0  # beta_hat = alpha_median - (HB_SHIFT_C + 1)/log n
+# The HB constraint uses beta_hat = (hyperposterior median) - (HB_SHIFT_C + 1)/log n
+# with radius M_n sqrt(log n), M_n = log log n.
+HB_SHIFT_C = 1.0
 
 
 @dataclass(frozen=True)
@@ -59,9 +62,6 @@ class CredibleSetSpec:
     delta: float = DEFAULT_DELTA
     weights: Optional[WeightSequence] = None
     vn_power: float = 0.25          # v_n = (log n)^vn_power for the band width
-    smooth_C: float = SMOOTH_C
-    smooth_eps_num: float = SMOOTH_EPS_NUM
-    hb_Mn: Optional[float] = None   # default log log n
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
@@ -73,15 +73,54 @@ class CredibleSetSpec:
 
 
 @dataclass(frozen=True)
-class PosteriorByproducts:
-    """Fitted quantities a geometry may need besides the draws."""
+class FittedPosterior:
+    """A prior fitted to one observation: the posterior, and what the set
+    geometries read besides its draws.
+
+    ``alpha_hat`` is the fitted smoothness: alpha itself for a fixed-alpha
+    prior, the likelihood maximizer under empirical Bayes, the hyperposterior
+    median under hierarchical Bayes, and None for slab-and-spike.
+    ``threshold`` and ``efficient_center`` exist for slab-and-spike only.
+    """
 
     obs: NoisyObservation
-    posterior_mean: Optional[np.ndarray] = None
+    post: Union[AlphaPosterior, HyperPosterior, SlabSpikePosterior]
+    posterior_mean: np.ndarray
     alpha_hat: Optional[float] = None
-    alpha_median: Optional[float] = None
     threshold: Optional[ThresholdEstimate] = None
     efficient_center: Optional[np.ndarray] = None
+
+    def sample(self, M: int, seed: int) -> gaussprior.PosteriorDrawSet:
+        if isinstance(self.post, SlabSpikePosterior):
+            return slabspike.sample(self.post, M, seed)
+        if isinstance(self.post, HyperPosterior):
+            return gaussprior.sample_hierarchical(self.post, self.obs, M, seed)
+        return gaussprior.sample(self.post, M, seed)
+
+
+def fit(obs: NoisyObservation, prior: str,
+        slab: SlabSpikeConfig = SlabSpikeConfig()) -> FittedPosterior:
+    """Fit ``prior`` to ``obs``: eb, hb, fixed:<alpha>, or slabspike with
+    the prior layout ``slab``."""
+    if prior == "slabspike":
+        post = slabspike.posterior(obs, slab)
+        est = slabspike.posterior_median(post)
+        t1 = slabspike.efficient_estimator(obs, est, post, 1)
+        return FittedPosterior(obs, post, post.slab_weight * post.slab_mean,
+                               threshold=est, efficient_center=t1)
+    if prior == "hb":
+        hp = gaussprior.hierarchical_marginal(obs)
+        return FittedPosterior(obs, hp, gaussprior.hierarchical_posterior_mean(hp, obs),
+                               alpha_hat=gaussprior.hierarchical_median(hp))
+    kind, _, alpha = prior.partition(":")
+    if prior == "eb":
+        alpha = gaussprior.empirical_bayes_alpha(obs).alpha_hat
+    elif kind == "fixed":
+        alpha = float(alpha)
+    else:
+        raise ValueError(f"unknown prior {prior!r}")
+    post = gaussprior.posterior(obs, alpha)
+    return FittedPosterior(obs, post, post.means, alpha_hat=alpha)
 
 
 @dataclass(frozen=True)
@@ -184,7 +223,7 @@ def calibrate_radius(draws, center, norm_spec: NormSpec, gamma,
     """Radius as the order statistic of the draw-center distances in
     ``norm_spec`` (``order_statistic_radius``), one per level for a
     sequence of levels."""
-    arr = draws.draws if isinstance(draws, PosteriorDrawSet) else np.asarray(draws)
+    arr = np.asarray(draws)
     if arr.shape[0] < 20:
         raise ValueError("need at least 20 draws to calibrate a radius")
     return order_statistic_radius(norm(arr - np.asarray(center), norm_spec, basis), gamma)
@@ -217,17 +256,16 @@ def sigma_band_width(support: np.ndarray, basis: BasisSpec, n: float, vn: float,
 
 def pointwise_band(draws, basis: BasisSpec, grid, gamma: float):
     """Per-point empirical (gamma/2, 1-gamma/2) quantiles of draw curves."""
-    arr = draws.draws if isinstance(draws, PosteriorDrawSet) else np.asarray(draws)
-    vals = seqmodel.evaluate_function(arr, np.asarray(grid, dtype=float), basis)
+    vals = seqmodel.evaluate_function(draws, np.asarray(grid, dtype=float), basis)
     lo = np.quantile(vals, gamma / 2.0, axis=0)
     hi = np.quantile(vals, 1.0 - gamma / 2.0, axis=0)
     return lo, hi
 
 
-def build_set(spec: CredibleSetSpec, draws, byproducts: PosteriorByproducts,
-              gammas=None):
-    """Assemble the declared geometry at level ``spec.gamma``, or with
-    ``gammas`` a list of sets, one per level.
+def build_set(spec: CredibleSetSpec, draws, fitted: FittedPosterior, gammas=None):
+    """Assemble the declared geometry from the draw matrix ``draws`` of
+    ``fitted`` at level ``spec.gamma``, or with ``gammas`` a list of sets,
+    one per level.
 
     The sets of one call share their center and their smoothness or band
     constraint, none of which depends on gamma; their primary radii come from
@@ -235,9 +273,8 @@ def build_set(spec: CredibleSetSpec, draws, byproducts: PosteriorByproducts,
     before intersecting, so a plain ball and its intersected variant share
     the same primary radius.
     """
-    obs = byproducts.obs
+    obs = fitted.obs
     basis = obs.basis
-    arr = draws.draws if isinstance(draws, PosteriorDrawSet) else np.asarray(draws)
     n = obs.n
     logn = math.log(n)
     levels = tuple(gammas) if gammas is not None else (spec.gamma,)
@@ -246,18 +283,16 @@ def build_set(spec: CredibleSetSpec, draws, byproducts: PosteriorByproducts,
         if rule == CENTER_SHIFT:
             return obs.y
         if rule == CENTER_POSTERIOR_MEAN:
-            if byproducts.posterior_mean is None:
-                raise ValueError("posterior_mean byproduct missing")
-            return byproducts.posterior_mean
+            return fitted.posterior_mean
         if rule == CENTER_EFFICIENT:
-            if byproducts.efficient_center is None:
-                raise ValueError("efficient_center byproduct missing")
-            return byproducts.efficient_center
+            if fitted.efficient_center is None:
+                raise ValueError("the efficient center needs a slab-and-spike fit")
+            return fitted.efficient_center
         raise ValueError(f"unknown center rule {rule!r}")
 
     def calibrated(center, pnorm, **constraints):
         specs = [replace(spec, gamma=g) for g in levels]
-        radii = calibrate_radius(arr, center, pnorm, levels, basis)
+        radii = calibrate_radius(draws, center, pnorm, levels, basis)
         sets = [CalibratedCredibleSet(s, basis, center, r, pnorm, **constraints)
                 for s, r in zip(specs, radii)]
         return sets if gammas is not None else sets[0]
@@ -272,29 +307,29 @@ def build_set(spec: CredibleSetSpec, draws, byproducts: PosteriorByproducts,
         center = center_for(spec.center_rule)
         second = None
         if variant == H_DELTA_EB:
-            if byproducts.alpha_hat is None or byproducts.posterior_mean is None:
-                raise ValueError("HDeltaIntersectEB needs alpha_hat and posterior_mean")
-            eps_n = min(spec.smooth_eps_num / logn, byproducts.alpha_hat / 2.0)
+            if fitted.alpha_hat is None:
+                raise ValueError("HDeltaIntersectEB needs alpha_hat, which a "
+                                 "slab-and-spike fit does not have")
+            eps_n = min(SMOOTH_EPS_NUM / logn, fitted.alpha_hat / 2.0)
             second = SecondConstraint(
-                NormSpec.sobolev_log(byproducts.alpha_hat - eps_n, 0.0),
-                byproducts.posterior_mean, spec.smooth_C * math.sqrt(logn), "smoothness")
+                NormSpec.sobolev_log(fitted.alpha_hat - eps_n, 0.0),
+                fitted.posterior_mean, SMOOTH_C * math.sqrt(logn), "smoothness")
         elif variant == H_DELTA_HB:
-            if byproducts.alpha_median is None or byproducts.posterior_mean is None:
-                raise ValueError("HDeltaIntersectHB needs alpha_median and posterior_mean")
-            beta_hat = byproducts.alpha_median - (HB_SHIFT_C + 1.0) / logn
-            Mn = spec.hb_Mn if spec.hb_Mn is not None else math.log(logn)
+            if not isinstance(fitted.post, HyperPosterior):
+                raise ValueError("HDeltaIntersectHB needs a hierarchical Bayes fit")
+            beta_hat = fitted.alpha_hat - (HB_SHIFT_C + 1.0) / logn
             second = SecondConstraint(NormSpec.sobolev_log(beta_hat, 0.0),
-                                      byproducts.posterior_mean,
-                                      Mn * math.sqrt(logn), "smoothness")
+                                      fitted.posterior_mean,
+                                      math.log(logn) * math.sqrt(logn), "smoothness")
         return calibrated(center, NormSpec.h_delta(spec.delta), second=second)
 
     if variant == MULTISCALE_BALL:
         return calibrated(center_for(spec.center_rule), NormSpec.multiscale(spec.weights))
 
     if variant == MULTISCALE_BAND:
-        if byproducts.threshold is None:
+        if fitted.threshold is None:
             raise ValueError("MultiscaleBand needs the posterior-median threshold")
-        est = byproducts.threshold
+        est = fitted.threshold
         pi_med = np.where(est.support, obs.y, 0.0)
         jn = int(math.floor(math.log2(n)))
         vn = logn ** spec.vn_power
@@ -312,7 +347,7 @@ def diameter_estimate(cs: CalibratedCredibleSet, draws, norm_spec: NormSpec,
                       max_members: int = 500, seed: int = 0) -> float:
     """Maximum pairwise distance among member draws (a lower bound on the set
     diameter), subsampled for the quadratic scan."""
-    arr = draws.draws if isinstance(draws, PosteriorDrawSet) else np.asarray(draws)
+    arr = np.asarray(draws)
     members = arr[cs.membership(arr)]
     if members.shape[0] < 2:
         raise ValueError("need at least two member draws")

@@ -3,23 +3,28 @@
 Fixed-regularity prior: independent coordinates f_k ~ N(0, k^{-2 alpha - 1}),
 whose posterior given y is N(n y_k/(k^{2a+1}+n), 1/(k^{2a+1}+n)) per
 coordinate.  The smoothness alpha is selected either by maximizing the
-marginal log-likelihood (empirical Bayes) or through a hyperprior whose
-one-dimensional marginal posterior is integrated by grid quadrature.
+marginal log-likelihood (empirical Bayes) or through an exponential
+hyperprior whose one-dimensional marginal posterior is integrated by grid
+quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
-from scipy.special import logsumexp, gammaln
+from scipy.special import logsumexp
 
 from .seqmodel import NoisyObservation
 
 ALPHA_MIN = 0.01
 _EXP_CLIP = 700.0  # exp overflow guard
+
+
+def _k_log(size: int) -> np.ndarray:
+    """log k for k = 1..size."""
+    return np.log(np.arange(1, size + 1, dtype=float))
 
 
 def _power(k_log: np.ndarray, alpha: float) -> np.ndarray:
@@ -43,8 +48,8 @@ def marginal_loglik(obs: NoisyObservation, alpha: float) -> float:
     truncated at the stored coefficient length."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    k_log = np.log(np.arange(1, obs.y.size + 1, dtype=float))
-    return float(_loglik_grid(np.array([alpha], dtype=float), k_log, obs.y ** 2, obs.n)[0])
+    return float(_loglik_grid(np.array([alpha], dtype=float), _k_log(obs.y.size),
+                              obs.y ** 2, obs.n)[0])
 
 
 def loglik_tail_bound(obs: NoisyObservation, alpha: float) -> float:
@@ -85,7 +90,7 @@ def empirical_bayes_alpha(obs: NoisyObservation, alpha_min: float = ALPHA_MIN,
     """
     n = obs.n
     a_n = max(search_upper_bound(n), alpha_min + 0.5)
-    k_log = np.log(np.arange(1, obs.y.size + 1, dtype=float))
+    k_log = _k_log(obs.y.size)
     ysq = obs.y ** 2
 
     def ll(alpha):
@@ -130,24 +135,21 @@ class AlphaPosterior:
     n: float
     means: np.ndarray
     variances: np.ndarray
-    observation: NoisyObservation
 
 
 def posterior(obs: NoisyObservation, alpha: float) -> AlphaPosterior:
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    k_log = np.log(np.arange(1, obs.y.size + 1, dtype=float))
-    pw = _power(k_log, alpha)
+    pw = _power(_k_log(obs.y.size), alpha)
     return AlphaPosterior(float(alpha), obs.n, obs.n * obs.y / (pw + obs.n),
-                          1.0 / (pw + obs.n), obs)
+                          1.0 / (pw + obs.n))
 
 
 @dataclass(frozen=True)
 class PosteriorDrawSet:
-    """M x K matrix of coefficient draws with provenance."""
+    """M x K matrix of coefficient draws."""
 
     draws: np.ndarray
-    provenance: dict
 
 
 def sample(post: AlphaPosterior, M: int, seed: int) -> PosteriorDrawSet:
@@ -157,37 +159,19 @@ def sample(post: AlphaPosterior, M: int, seed: int) -> PosteriorDrawSet:
     draws = rng.standard_normal((M, post.means.size))
     draws *= np.sqrt(post.variances)
     draws += post.means
-    return PosteriorDrawSet(draws, {"prior": "fixed_alpha", "alpha": post.alpha,
-                                    "n": post.n, "seed": int(seed)})
+    return PosteriorDrawSet(draws)
 
 
 # ---------------------------------------------------------------------------
 # hierarchical Bayes over alpha
 # ---------------------------------------------------------------------------
 
-def hyperprior_logpdf(name: str, params: Tuple[float, ...], alpha: np.ndarray) -> np.ndarray:
-    a = np.asarray(alpha, dtype=float)
-    if name == "exponential":
-        (rate,) = params
-        return math.log(rate) - rate * a
-    if name == "gamma":
-        shape, rate = params
-        return shape * math.log(rate) - gammaln(shape) + (shape - 1) * np.log(a) - rate * a
-    if name == "inverse_gamma":
-        shape, rate = params
-        return shape * math.log(rate) - gammaln(shape) - (shape + 1) * np.log(a) - rate / a
-    raise ValueError(f"unsupported hyperprior {name!r}")
-
-
 @dataclass(frozen=True)
 class HyperPosterior:
-    """Grid-quadrature marginal posterior of alpha under a hyperprior."""
+    """Grid-quadrature marginal posterior of alpha under the hyperprior."""
 
     grid: np.ndarray
     log_weights: np.ndarray
-    hyperprior: str
-    hyperprior_params: Tuple[float, ...]
-    observation: NoisyObservation
 
     @property
     def weights(self) -> np.ndarray:
@@ -203,11 +187,11 @@ def _alpha_grid(alpha_min: float, a_n: float, grid_size: int) -> np.ndarray:
     return np.concatenate([geo, uni])
 
 
-def hierarchical_marginal(obs: NoisyObservation, hyperprior: str = "exponential",
-                          hyperprior_params: Tuple[float, ...] = (1.0,),
+def hierarchical_marginal(obs: NoisyObservation, rate: float = 1.0,
                           grid_size: int = 600,
                           alpha_min: float = ALPHA_MIN) -> HyperPosterior:
-    """Normalized log posterior masses on an alpha grid over [alpha_min, a_n].
+    """Normalized log posterior masses on an alpha grid over [alpha_min, a_n]
+    under the exponential hyperprior lambda(alpha) = rate exp(-rate alpha).
 
     Each cell's mass is log lambda(alpha_i) + l_n(alpha_i) + log(cell width),
     a midpoint-rule quadrature of the continuous marginal; masses are
@@ -220,13 +204,10 @@ def hierarchical_marginal(obs: NoisyObservation, hyperprior: str = "exponential"
     edges = np.concatenate(([grid[0]], 0.5 * (grid[1:] + grid[:-1]), [grid[-1]]))
     widths = np.diff(edges)
 
-    k_log = np.log(np.arange(1, obs.y.size + 1, dtype=float))
-    ysq = obs.y ** 2
-    n = obs.n
-    ll = _loglik_grid(grid, k_log, ysq, n)
-    logw = hyperprior_logpdf(hyperprior, hyperprior_params, grid) + ll + np.log(widths)
+    ll = _loglik_grid(grid, _k_log(obs.y.size), obs.y ** 2, obs.n)
+    logw = math.log(rate) - rate * grid + ll + np.log(widths)
     logw -= logsumexp(logw)
-    return HyperPosterior(grid, logw, hyperprior, tuple(hyperprior_params), obs)
+    return HyperPosterior(grid, logw)
 
 
 def hierarchical_median(hp: HyperPosterior) -> float:
@@ -237,7 +218,7 @@ def hierarchical_median(hp: HyperPosterior) -> float:
 
 def hierarchical_posterior_mean(hp: HyperPosterior, obs: NoisyObservation) -> np.ndarray:
     """Mixture posterior mean sum_i w_i * mu(alpha_i)."""
-    k_log = np.log(np.arange(1, obs.y.size + 1, dtype=float))
+    k_log = _k_log(obs.y.size)
     out = np.zeros_like(obs.y)
     for a, w in zip(hp.grid, hp.weights):
         if w < 1e-16:
@@ -258,15 +239,14 @@ def sample_hierarchical(hp: HyperPosterior, obs: NoisyObservation, M: int,
     idx = np.searchsorted(cum, rng.uniform(size=M))
     zeta = rng.standard_normal((M, obs.y.size))
     draws = np.empty_like(zeta)
-    k_log = np.log(np.arange(1, obs.y.size + 1, dtype=float))
+    k_log = _k_log(obs.y.size)
     for i in np.unique(idx):
         rows = idx == i
         pw = _power(k_log, hp.grid[i])
         mean = obs.n * obs.y / (pw + obs.n)
         sd = np.sqrt(1.0 / (pw + obs.n))
         draws[rows] = mean + sd * zeta[rows]
-    return PosteriorDrawSet(draws, {"prior": "hierarchical", "hyperprior": hp.hyperprior,
-                                    "n": obs.n, "seed": int(seed)})
+    return PosteriorDrawSet(draws)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +265,7 @@ def kl_projection_diagnostic(obs: NoisyObservation, alpha: float, J: int) -> flo
     if not 1 <= J <= obs.y.size:
         raise ValueError("J out of range")
     n = obs.n
-    k_log = np.log(np.arange(1, J + 1, dtype=float))
-    pw = _power(k_log, alpha)
+    pw = _power(_k_log(J), alpha)
     s2 = n / (pw + n)
     mu = -math.sqrt(n) * pw * obs.y[:J] / (pw + n)
     return 0.5 * float(np.sum(s2 + mu * mu - 1.0 - np.log(s2)))

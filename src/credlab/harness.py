@@ -18,13 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import credsets, dirichlethist, gaussprior, seqmodel, slabspike
-from .credsets import (
-    CredibleSetSpec,
-    PosteriorByproducts,
-    build_set,
-    diameter_estimate,
-)
+from . import credsets, dirichlethist, seqmodel, slabspike
+from .credsets import CredibleSetSpec, build_set, diameter_estimate
 from .seqmodel import BasisSpec, NormSpec, WeightSequence, observe
 
 REPORT_SCHEMA = "credlab-report-v1"
@@ -39,6 +34,13 @@ EXTRAS = {
     "oversmoothing_demo": ("variant", "diam_reps"),
     "negative_bvm": ("beta", "R", "r", "tau", "test_m", "subseq_base", "subseq_ratio"),
     "dirichlet_demo": ("weights_eps", "grid_points"),
+}
+
+# The command-line flags (or config-file keys) an experiment never reads;
+# setting one is rejected.
+UNREAD_FLAGS = {
+    "negative_bvm": ("n", "gamma", "prior", "signal"),
+    "dirichlet_demo": ("prior", "signal"),
 }
 
 
@@ -72,8 +74,13 @@ class ExperimentConfig:
             raise ValueError("counts must be positive (draws >= 20)")
         if not self.gamma_list or not all(0 < g < 1 for g in self.gamma_list):
             raise ValueError("gamma values must lie in (0,1)")
+        if not self.n_list and self.experiment != "negative_bvm":
+            raise ValueError(f"{self.experiment} needs at least one noise level n")
         if not all(n > 1 for n in self.n_list):
             raise ValueError("noise levels n must exceed 1")
+        if self.experiment == "radius_scaling" and len(set(self.n_list)) < 2:
+            raise ValueError("radius_scaling fits a log-log slope and needs at least "
+                             "two distinct noise levels n")
         kind, _, alpha = self.prior.partition(":")
         try:
             known = (self.prior in ("eb", "hb", "slabspike")
@@ -209,45 +216,14 @@ def make_signal(cfg: ExperimentConfig, n: float):
     if name == "power_sine":
         basis = BasisSpec(seqmodel.FOURIER_SINE, seqmodel.default_fourier_truncation(n))
         return seqmodel.power_sine_signal(float(parts[1]), float(parts[2]), basis)
-    if name == "volterra_sine":
-        basis = BasisSpec(seqmodel.VOLTERRA_SVD, seqmodel.default_fourier_truncation(n))
-        return seqmodel.power_sine_signal(float(parts[1]), float(parts[2]), basis)
     if name == "truncated_laplace":
         basis = BasisSpec(seqmodel.HAAR_WAVELET, seqmodel.default_wavelet_truncation(n))
         return seqmodel.truncated_laplace_signal(float(parts[1]), float(parts[2]), basis)
     raise ValueError(f"unsupported signal {cfg.signal!r} for this experiment")
 
 
-def _fit(cfg: ExperimentConfig, obs, prior: Optional[str] = None):
-    """Fit ``prior`` (default ``cfg.prior``) to ``obs``; returns (draw_fn,
-    byproducts) with draw_fn(M, seed) a PosteriorDrawSet.
-
-    ``byproducts.alpha_hat`` is the fitted smoothness: alpha itself for
-    fixed:<alpha>, the likelihood maximizer for eb, the hyperposterior median
-    for hb, and None for slabspike.
-    """
-    prior = prior or cfg.prior
-    if prior == "slabspike":
-        post = slabspike.posterior(obs, slabspike.SlabSpikeConfig(tau=cfg.tau,
-                                                                  K_floor=cfg.K_floor))
-        est = slabspike.posterior_median(post)
-        t1 = slabspike.efficient_estimator(obs, est, post, 1)
-        byp = PosteriorByproducts(obs, posterior_mean=post.slab_weight * post.slab_mean,
-                                  threshold=est, efficient_center=t1)
-        return (lambda M, seed: slabspike.sample(post, M, seed)), byp
-    if prior == "hb":
-        hp = gaussprior.hierarchical_marginal(obs)
-        med = gaussprior.hierarchical_median(hp)
-        mean = gaussprior.hierarchical_posterior_mean(hp, obs)
-        byp = PosteriorByproducts(obs, posterior_mean=mean, alpha_median=med, alpha_hat=med)
-        return (lambda M, seed: gaussprior.sample_hierarchical(hp, obs, M, seed)), byp
-    if prior == "eb":
-        alpha = gaussprior.empirical_bayes_alpha(obs).alpha_hat
-    else:
-        alpha = float(prior.split(":", 1)[1])
-    post = gaussprior.posterior(obs, alpha)
-    byp = PosteriorByproducts(obs, posterior_mean=post.means, alpha_hat=alpha)
-    return (lambda M, seed: gaussprior.sample(post, M, seed)), byp
+def _slab(cfg: ExperimentConfig) -> slabspike.SlabSpikeConfig:
+    return slabspike.SlabSpikeConfig(tau=cfg.tau, K_floor=cfg.K_floor)
 
 
 def _weights_for(cfg: ExperimentConfig, basis: BasisSpec) -> WeightSequence:
@@ -287,11 +263,11 @@ def run_coverage(cfg: ExperimentConfig) -> Report:
         for rep in range(cfg.reps):
             s_obs, s_cal = rep_seeds(cfg.seed, rep, 2)
             obs = observe(f0, n, s_obs)
-            draw_fn, byp = _fit(cfg, obs)
+            fitted = credsets.fit(obs, cfg.prior, _slab(cfg))
             if not band:
-                alphas.append(byp.alpha_hat)
-            draws = draw_fn(cfg.draws, s_cal)
-            for i, cset in enumerate(build_set(spec, draws, byp, cfg.gamma_list)):
+                alphas.append(fitted.alpha_hat)
+            draws = fitted.sample(cfg.draws, s_cal).draws
+            for i, cset in enumerate(build_set(spec, draws, fitted, cfg.gamma_list)):
                 radii[i].append(cset.radius)
                 hits[i] += cset.contains(f0.coeffs).member
                 if rep < diam_reps:
@@ -327,19 +303,18 @@ def run_oversmoothing_demo(cfg: ExperimentConfig) -> Report:
 
 def _l2_sets(cfg: ExperimentConfig, obs):
     """Gaussian lane: the smoothed H(delta) set (A) and the l2 ball (B)."""
-    draw_fn, byp = _fit(cfg, obs)
     gamma = cfg.gamma_list[0]
-    return draw_fn, byp, (CredibleSetSpec(credsets.H_DELTA_EB, gamma, delta=cfg.delta),
-                          CredibleSetSpec(credsets.L2_BALL, gamma))
+    return credsets.fit(obs, cfg.prior, _slab(cfg)), (
+        CredibleSetSpec(credsets.H_DELTA_EB, gamma, delta=cfg.delta),
+        CredibleSetSpec(credsets.L2_BALL, gamma))
 
 
 def _band_sets(cfg: ExperimentConfig, obs):
     """Slab-and-spike lane: the two-stage band (A) against the sup-norm ball
     (B), both centered at the efficient estimator."""
-    draw_fn, byp = _fit(cfg, obs, "slabspike")
     w = _weights_for(cfg, obs.basis)
     gamma = cfg.gamma_list[0]
-    return draw_fn, byp, (
+    return credsets.fit(obs, "slabspike", _slab(cfg)), (
         CredibleSetSpec(credsets.MULTISCALE_BAND, gamma, weights=w, vn_power=cfg.vn_power,
                         center_rule=credsets.CENTER_EFFICIENT),
         CredibleSetSpec(credsets.SUP_BALL, gamma, center_rule=credsets.CENTER_EFFICIENT))
@@ -348,7 +323,7 @@ def _band_sets(cfg: ExperimentConfig, obs):
 def _joint_masses(cfg: ExperimentConfig, n: float, fit) -> dict:
     """Per-gamma lists of (cred_A, cred_B, joint) masses, one per replication.
 
-    ``fit(cfg, obs)`` returns (draw_fn, byproducts, (spec_A, spec_B)).  Both
+    ``fit(cfg, obs)`` returns (fitted posterior, (spec_A, spec_B)).  Both
     sets are calibrated at every gamma on one batch and their memberships
     counted on a fresh batch of the same size, so the order-statistic bias of
     same-batch evaluation never enters.
@@ -358,11 +333,11 @@ def _joint_masses(cfg: ExperimentConfig, n: float, fit) -> dict:
     for rep in range(cfg.reps):
         s_obs, s_cal, s_fresh = rep_seeds(cfg.seed, rep, 3)
         obs = observe(f0, n, s_obs)
-        draw_fn, byp, specs = fit(cfg, obs)
-        calib = draw_fn(cfg.draws, s_cal)
-        families = [build_set(spec, calib, byp, cfg.gamma_list) for spec in specs]
+        fitted, specs = fit(cfg, obs)
+        calib = fitted.sample(cfg.draws, s_cal).draws
+        families = [build_set(spec, calib, fitted, cfg.gamma_list) for spec in specs]
         del calib
-        fresh = draw_fn(cfg.draws, s_fresh).draws
+        fresh = fitted.sample(cfg.draws, s_fresh).draws
         A, B = (sets[0].membership(fresh, [s.radius for s in sets]) for sets in families)
         for i, g in enumerate(cfg.gamma_list):
             masses[g].append((float(A[i].mean()), float(B[i].mean()),
@@ -446,14 +421,14 @@ def run_radius_scaling(cfg: ExperimentConfig) -> Report:
         for rep in range(cfg.reps):
             s_obs, s_cal = rep_seeds(cfg.seed, rep, 2)
             obs = observe(f0, n, s_obs)
-            draw_fn, fixed_byp = _fit(cfg, obs, fixed)
+            fixed_fit = credsets.fit(obs, fixed)
             fixed_set = build_set(CredibleSetSpec(credsets.L2_BALL, gamma),
-                                  draw_fn(cfg.draws, s_cal), fixed_byp)
+                                  fixed_fit.sample(cfg.draws, s_cal).draws, fixed_fit)
             radii.append(fixed_set.radius)
-            draw_fn, byp = _fit(cfg, obs, "eb")
-            eb_draws = draw_fn(cfg.draws, s_cal)
+            eb_fit = credsets.fit(obs, "eb")
+            eb_draws = eb_fit.sample(cfg.draws, s_cal).draws
             eb_set = build_set(CredibleSetSpec(credsets.H_DELTA_EB, gamma,
-                                               delta=cfg.delta), eb_draws, byp)
+                                               delta=cfg.delta), eb_draws, eb_fit)
             diams.append(diameter_estimate(eb_set, eb_draws, NormSpec.l2()))
         mean_radii.append(float(np.mean(radii)))
         mean_diams.append(float(np.mean(diams)))
@@ -463,7 +438,7 @@ def run_radius_scaling(cfg: ExperimentConfig) -> Report:
     meta = _meta(cfg)
     meta["radius_slope"] = slope_r
     meta["diameter_slope"] = slope_d
-    alpha = fixed_byp.alpha_hat
+    alpha = fixed_fit.alpha_hat
     meta["theory_slope"] = -alpha / (2 * alpha + 1)
     return Report("radius_scaling",
                   ("n", "gamma", "mean_l2_radius_fixed_alpha", "mean_l2_diameter_eb"),

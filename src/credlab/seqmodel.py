@@ -1,7 +1,7 @@
 """Bases, signals, norms, self-similarity checks and synthetic data for the
 Gaussian sequence model  y_k = f_k + z_k / sqrt(n).
 
-Fourier-type bases are indexed k = 1, 2, ... and stored in that order.
+The Fourier sine basis is indexed k = 1, 2, ... and stored in that order.
 Haar coefficient arrays are stored flattened: position 0 holds the scaling
 coefficient (the constant function on (0,1]) and position m >= 1 holds the
 wavelet (l, k) with l = floor(log2 m), k = m - 2**l, i.e. level l occupies
@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 FOURIER_SINE = "fourier_sine"
-VOLTERRA_SVD = "volterra_svd"
 HAAR_WAVELET = "haar_wavelet"
 
-_BASIS_KINDS = (FOURIER_SINE, VOLTERRA_SVD, HAAR_WAVELET)
+_BASIS_KINDS = (FOURIER_SINE, HAAR_WAVELET)
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +31,7 @@ _BASIS_KINDS = (FOURIER_SINE, VOLTERRA_SVD, HAAR_WAVELET)
 class BasisSpec:
     """Orthonormal basis of L2[0,1] with a finite truncation.
 
-    ``max_index`` is K_max for the Fourier-type bases and the maximal wavelet
+    ``max_index`` is K_max for the Fourier sine basis and the maximal wavelet
     resolution J_max for the Haar basis.
     """
 
@@ -60,7 +59,7 @@ class BasisSpec:
 def wavelet_levels(basis: BasisSpec) -> np.ndarray:
     """Level of each flattened position; the scaling coefficient gets -1."""
     if not basis.is_wavelet:
-        raise ValueError("wavelet layout undefined for Fourier-type bases")
+        raise ValueError("wavelet layout undefined for the Fourier sine basis")
     lev = np.empty(basis.size, dtype=int)
     lev[0] = -1
     for l in range(basis.max_index + 1):
@@ -156,28 +155,13 @@ class WeightSequence:
             raise ValueError("weights must be monotone nondecreasing")
 
     @classmethod
-    def power_law(cls, eps: float, j_max: int, u: float = 0.0) -> "WeightSequence":
-        """w_l = l^(1/2+eps) * (1 + log l)^u for l >= 1, w_0 = w_1."""
+    def power_law(cls, eps: float, j_max: int) -> "WeightSequence":
+        """w_l = l^(1/2+eps) for l >= 1, w_0 = w_1."""
         if eps <= 0:
             raise ValueError("eps must be positive")
         l = np.arange(1, j_max + 1, dtype=float)
-        w = l ** (0.5 + eps) * (1.0 + np.log(l)) ** u
-        w = np.maximum(w, 1.0)
+        w = np.maximum(l ** (0.5 + eps), 1.0)
         return cls(np.concatenate(([w[0]], w)))
-
-    @classmethod
-    def explicit(cls, values: Sequence[float]) -> "WeightSequence":
-        return cls(np.asarray(values, dtype=float))
-
-    def is_admissible(self) -> bool:
-        """Check w_l/sqrt(l) strictly increasing over the stored range.
-
-        Unboundedness cannot be certified from a finite array; this is the
-        finite surrogate and reports should state the checked range.
-        """
-        l = np.arange(1, self.values.size, dtype=float)
-        r = self.values[1:] / np.sqrt(l)
-        return bool(np.all(np.diff(r) > 0))
 
     @property
     def j_max(self) -> int:
@@ -199,7 +183,6 @@ class NormSpec:
     s: float = 0.0
     delta: float = 0.0
     weights: Optional[WeightSequence] = None
-    grid_level: Optional[int] = None
 
     @classmethod
     def l2(cls) -> "NormSpec":
@@ -221,8 +204,8 @@ class NormSpec:
         return cls("multiscale", weights=weights)
 
     @classmethod
-    def sup(cls, grid_level: Optional[int] = None) -> "NormSpec":
-        return cls("sup", grid_level=grid_level)
+    def sup(cls) -> "NormSpec":
+        return cls("sup")
 
 
 def sobolev_log_weights(size: int, s: float, delta: float) -> np.ndarray:
@@ -249,7 +232,7 @@ def norm(x, spec: NormSpec, basis: Optional[BasisSpec] = None) -> float:
         return np.sqrt(np.sum(arr * arr, axis=-1))
     if spec.kind == "sobolev_log":
         if basis is not None and basis.is_wavelet:
-            raise ValueError("sobolev_log norms apply to Fourier-type coefficients")
+            raise ValueError("sobolev_log norms apply to Fourier sine coefficients")
         w = sobolev_log_weights(size, spec.s, spec.delta)
         return np.sqrt((arr * arr) @ w)
     if spec.kind == "multiscale":
@@ -260,9 +243,7 @@ def norm(x, spec: NormSpec, basis: Optional[BasisSpec] = None) -> float:
     if spec.kind == "sup":
         if basis is None or not basis.is_wavelet:
             raise ValueError("sup norm requires a wavelet basis")
-        level = spec.grid_level if spec.grid_level is not None else basis.max_index + 1
-        vals = haar_cell_values(arr, basis, level)
-        return np.max(np.abs(vals), axis=-1)
+        return np.max(np.abs(haar_cell_values(arr, basis)), axis=-1)
     raise ValueError(f"unknown norm kind {spec.kind!r}")
 
 
@@ -270,18 +251,14 @@ def norm(x, spec: NormSpec, basis: Optional[BasisSpec] = None) -> float:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def haar_cell_values(coeffs, basis: BasisSpec, grid_level: Optional[int] = None) -> np.ndarray:
-    """Values of the Haar partial sum on the 2**grid_level dyadic cells.
+def haar_cell_values(coeffs, basis: BasisSpec) -> np.ndarray:
+    """Values of the Haar partial sum on the 2**(J_max + 1) dyadic cells.
 
-    Exact because partial sums up to level J_max are constant on the cells of
-    any finer dyadic partition; the default grid level is J_max + 1.
-    Accepts a single coefficient array or a stack of them (rows).
+    Exact because partial sums up to level J_max are constant on these cells;
+    a finer partition only repeats values.  Accepts a single coefficient
+    array or a stack of them (rows).
     """
     arr = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    if grid_level is None:
-        grid_level = basis.max_index + 1
-    if grid_level < basis.max_index + 1:
-        raise ValueError("grid level too coarse for exact evaluation")
     vals = arr[:, :1].copy()
     for l in range(basis.max_index + 1):
         c = arr[:, 2 ** l: 2 ** (l + 1)] * 2.0 ** (l / 2.0)
@@ -289,9 +266,6 @@ def haar_cell_values(coeffs, basis: BasisSpec, grid_level: Optional[int] = None)
         nxt[:, 0::2] = vals + c
         nxt[:, 1::2] = vals - c
         vals = nxt
-    reps = 2 ** (grid_level - basis.max_index - 1)
-    if reps > 1:
-        vals = np.repeat(vals, reps, axis=1)
     if np.ndim(coeffs) == 1:
         return vals[0]
     return vals
@@ -314,17 +288,14 @@ def evaluate_function(coeffs, grid, basis: Optional[BasisSpec] = None) -> np.nda
 
     if basis.is_wavelet:
         level = basis.max_index + 1
-        cells = haar_cell_values(arr, basis, level)
+        cells = haar_cell_values(arr, basis)
         # cell i covers (i/2^level, (i+1)/2^level]; map x=0 into cell 0
         idx = np.ceil(x * 2 ** level).astype(int) - 1
         idx = np.clip(idx, 0, 2 ** level - 1)
         return cells[..., idx]
 
     k = np.arange(1, basis.size + 1, dtype=float)
-    if basis.kind == FOURIER_SINE:
-        design = np.sqrt(2.0) * np.sin(np.pi * np.outer(x, k))
-    else:
-        design = np.sqrt(2.0) * np.cos(np.pi * np.outer(x, (k - 0.5)))
+    design = np.sqrt(2.0) * np.sin(np.pi * np.outer(x, k))
     return design @ arr if arr.ndim == 1 else arr @ design.T
 
 
@@ -333,10 +304,10 @@ def evaluate_function(coeffs, grid, basis: Optional[BasisSpec] = None) -> np.nda
 # ---------------------------------------------------------------------------
 
 def power_sine_signal(a: float, b: float, basis: BasisSpec) -> SignalCoefficients:
-    """f_k = k^{-a} sin(b k) on a Fourier-type basis; a = 3/2, b = 1 gives the
+    """f_k = k^{-a} sin(b k) on the Fourier sine basis; a = 3/2, b = 1 gives the
     smoothness-one test signal used in the simulations."""
     if basis.is_wavelet:
-        raise ValueError("power_sine requires a Fourier-type basis")
+        raise ValueError("power_sine requires the Fourier sine basis")
     k = np.arange(1, basis.size + 1, dtype=float)
     return SignalCoefficients(basis, k ** (-a) * np.sin(b * k), declared_beta=a - 0.5)
 
@@ -433,25 +404,6 @@ def holder_spike_signal(beta: float, R: float, r: float, subsequence,
     return SignalCoefficients(basis, out, declared_beta=beta)
 
 
-def custom_signal(values, basis: BasisSpec) -> SignalCoefficients:
-    return SignalCoefficients(basis, np.asarray(values, dtype=float))
-
-
-def synthesize_signal(recipe: str, basis: BasisSpec, **params) -> SignalCoefficients:
-    """Dispatch by recipe name: power_sine(a, b), truncated_laplace(loc, scale),
-    holder_spike(beta, R, r, subsequence), custom(values)."""
-    if recipe == "power_sine":
-        return power_sine_signal(params["a"], params["b"], basis)
-    if recipe == "truncated_laplace":
-        return truncated_laplace_signal(params["loc"], params["scale"], basis)
-    if recipe == "holder_spike":
-        return holder_spike_signal(params["beta"], params["R"], params["r"],
-                                   params["subsequence"], basis)
-    if recipe == "custom":
-        return custom_signal(params["values"], basis)
-    raise ValueError(f"unknown signal recipe {recipe!r}")
-
-
 # ---------------------------------------------------------------------------
 # self-similarity checks
 # ---------------------------------------------------------------------------
@@ -467,7 +419,7 @@ def check_self_similar_l2(f: SignalCoefficients, beta: float, R: float, rho: flo
     if rho <= 1 or not (0 < eps < 1) or N0 < 2:
         raise ValueError("need rho > 1, eps in (0,1), N0 >= 2")
     if f.basis.is_wavelet:
-        raise ValueError("the block-energy condition applies to Fourier-type bases")
+        raise ValueError("the block-energy condition applies to the Fourier sine basis")
     K = f.basis.size
     if N_max is None:
         N_max = min(K, 10 ** 4)
@@ -504,10 +456,4 @@ def sup_selfsim_margin(f: SignalCoefficients, beta: float, j0: int,
         err = norm(tail, NormSpec.sup(), f.basis)
         best = min(best, 2.0 ** (j * beta) * err)
     return best
-
-
-def check_self_similar_sup(f: SignalCoefficients, beta: float, R: float, eps: float,
-                           j0: int, j_hi: Optional[int] = None) -> bool:
-    """||K_j f - f||_inf >= eps * 2^{-j beta} for all j0 <= j < j_hi."""
-    return sup_selfsim_margin(f, beta, j0, j_hi) >= eps
 

@@ -22,10 +22,10 @@ from .gaussprior import PosteriorDrawSet
 class SlabSpikeConfig:
     """Prior layout: fitted-zone rule, mixture-weight decay, truncation.
 
-    j0_rule is one of ("sqrt_log_n",), ("power_log", eps) implementing
-    j0 ~ (log n)^{1/(2 eps + 1)}, or ("explicit", level).  The mixture weight
-    at level j is max(n^{-K_floor}, 2^{-j(1+tau)}) clipped at 1/2; both sides
-    of the weight band are honored past the reported crossover level.
+    j0_rule is ("sqrt_log_n",) for j0 = ceil(sqrt(log n)) or
+    ("explicit", level).  The mixture weight at level j is
+    max(n^{-K_floor}, 2^{-j(1+tau)}) clipped at 1/2, so the n^{-K_floor}
+    floor takes over past level K_floor log2(n) / (1 + tau).
     """
 
     j0_rule: tuple = ("sqrt_log_n",)
@@ -42,9 +42,6 @@ class SlabSpikeConfig:
         kind = self.j0_rule[0]
         if kind == "sqrt_log_n":
             return max(1, math.ceil(math.sqrt(math.log(n))))
-        if kind == "power_log":
-            eps = self.j0_rule[1]
-            return max(1, math.ceil(math.log(n) ** (1.0 / (2.0 * eps + 1.0))))
         if kind == "explicit":
             return int(self.j0_rule[1])
         raise ValueError(f"unknown j0 rule {kind!r}")
@@ -55,10 +52,6 @@ class SlabSpikeConfig:
     def mixture_weight(self, j, n: float):
         return np.minimum(0.5, np.maximum(n ** (-self.K_floor),
                                           2.0 ** (-np.asarray(j, dtype=float) * (1.0 + self.tau))))
-
-    def crossover_level(self, n: float) -> int:
-        """Level past which the n^{-K} floor takes over from 2^{-j(1+tau)}."""
-        return math.ceil(self.K_floor * math.log2(n) / (1.0 + self.tau))
 
 
 def coordinate_posterior(y, n: float, w):
@@ -101,7 +94,6 @@ class SlabSpikePosterior:
     slab_mean: np.ndarray
     slab_var: np.ndarray
     levels: np.ndarray
-    observation: NoisyObservation
 
     @property
     def j0(self) -> int:
@@ -131,7 +123,7 @@ def posterior(obs: NoisyObservation, config: SlabSpikeConfig) -> SlabSpikePoster
     sw, sm, sv = coordinate_posterior(obs.y, obs.n, w)
     sw[lev > jn] = 0.0
     sm[lev > jn] = 0.0
-    return SlabSpikePosterior(config, obs.basis, obs.n, sw, sm, sv, lev, obs)
+    return SlabSpikePosterior(config, obs.basis, obs.n, sw, sm, sv, lev)
 
 
 BLOCK_VALUES = 1 << 16   # random values per fill of the slab_picks buffer
@@ -175,8 +167,7 @@ def sample(post: SlabSpikePosterior, M: int, seed: int) -> PosteriorDrawSet:
     rows, cols, values = slab_picks(post, np.random.default_rng(seed), M)
     draws = np.zeros((M, post.slab_weight.size))
     draws[rows, cols] = values
-    return PosteriorDrawSet(draws, {"prior": "slab_spike", "n": post.n,
-                                    "j0": post.j0, "jn": post.jn, "seed": int(seed)})
+    return PosteriorDrawSet(draws)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from credlab import seqmodel as sm
 from credlab import slabspike as ss
 from credlab.credsets import (
     CredibleSetSpec,
-    PosteriorByproducts,
     build_set,
     calibrate_radius,
     diameter_estimate,
@@ -20,15 +19,12 @@ from credlab.credsets import (
 from credlab.seqmodel import BasisSpec, NormSpec, WeightSequence
 
 
-def eb_setup(n=500.0, K=512, seed=3, M=400):
+def eb_setup(n=500.0, K=512, seed=3, M=400, prior="eb"):
     b = BasisSpec(sm.FOURIER_SINE, K)
     f0 = sm.power_sine_signal(1.5, 1.0, b)
     obs = sm.observe(f0, n, seed)
-    eb = gp.empirical_bayes_alpha(obs)
-    post = gp.posterior(obs, eb.alpha_hat)
-    byp = PosteriorByproducts(obs, posterior_mean=post.means, alpha_hat=eb.alpha_hat)
-    draws = gp.sample(post, M, seed + 1)
-    return obs, post, byp, draws
+    fitted = cset.fit(obs, prior)
+    return obs, fitted, fitted.sample(M, seed + 1).draws
 
 
 # ---------------------------------------------------------------------------
@@ -66,24 +62,20 @@ def test_calibrate_radius_monotone_in_gamma(seed):
 
 
 def test_self_consistency_on_calibration_draws():
-    obs, post, byp, draws = eb_setup()
+    obs, fitted, draws = eb_setup()
     for gamma in (0.05, 0.25):
         spec = CredibleSetSpec(cset.H_DELTA_BALL, gamma)
-        cs = build_set(spec, draws, byp)
-        inside = cs.membership(draws.draws)
-        assert inside.sum() == math.ceil((1 - gamma) * draws.draws.shape[0])
+        cs = build_set(spec, draws, fitted)
+        inside = cs.membership(draws)
+        assert inside.sum() == math.ceil((1 - gamma) * draws.shape[0])
 
 
 def band_setup(n=500.0, seed=21, draw_seed=5, M=300):
     b = BasisSpec(sm.HAAR_WAVELET, sm.default_wavelet_truncation(n))
     f0 = sm.truncated_laplace_signal(0.5, 5.0, b)
     obs = sm.observe(f0, n, seed)
-    post = ss.posterior(obs, ss.SlabSpikeConfig())
-    est = ss.posterior_median(post)
-    byp = PosteriorByproducts(obs, posterior_mean=post.slab_weight * post.slab_mean,
-                              threshold=est,
-                              efficient_center=ss.efficient_estimator(obs, est, post, 1))
-    return obs, post, byp, ss.sample(post, M, draw_seed)
+    fitted = cset.fit(obs, "slabspike")
+    return obs, fitted, fitted.sample(M, draw_seed).draws
 
 
 @pytest.mark.parametrize("variant", [cset.H_DELTA_EB, cset.H_DELTA_HB, cset.L2_BALL,
@@ -91,17 +83,15 @@ def band_setup(n=500.0, seed=21, draw_seed=5, M=300):
 def test_shared_levels_equal_per_level_sets(variant):
     gammas = (0.05, 0.1, 0.2)
     if variant in (cset.MULTISCALE_BAND, cset.SUP_BALL):
-        obs, post, byp, draws = band_setup()
-        fresh = ss.sample(post, 300, 99).draws
+        obs, fitted, draws = band_setup()
         w = WeightSequence.power_law(0.5, obs.basis.max_index)
         spec = CredibleSetSpec(variant, gammas[0], weights=w,
                                center_rule=cset.CENTER_EFFICIENT)
     else:
-        obs, post, byp, draws = eb_setup()
-        byp = dataclasses.replace(byp, alpha_median=byp.alpha_hat)
-        fresh = gp.sample(post, 300, 99).draws
+        obs, fitted, draws = eb_setup(prior="hb" if variant == cset.H_DELTA_HB else "eb")
         spec = CredibleSetSpec(variant, gammas[0])
-    sets = build_set(spec, draws, byp, gammas)
+    fresh = fitted.sample(300, 99).draws
+    sets = build_set(spec, draws, fitted, gammas)
     shared = sets[0].membership(fresh, [s.radius for s in sets])
     assert shared.shape == (len(gammas), fresh.shape[0])
     for g, cs, row in zip(gammas, sets, shared):
@@ -110,7 +100,7 @@ def test_shared_levels_equal_per_level_sets(variant):
                 and cs.band is sets[0].band)
         assert cs.radius == calibrate_radius(draws, cs.center, cs.primary_norm, g,
                                              obs.basis)
-        one = build_set(dataclasses.replace(spec, gamma=g), draws, byp)
+        one = build_set(dataclasses.replace(spec, gamma=g), draws, fitted)
         assert one.radius == cs.radius
         assert np.array_equal(row, one.membership(fresh))
         want = sm.norm(fresh - cs.center, cs.primary_norm, obs.basis) <= cs.radius
@@ -129,20 +119,22 @@ def test_shared_levels_equal_per_level_sets(variant):
 # ---------------------------------------------------------------------------
 
 def test_primary_radius_identical_for_intersected_variant():
-    obs, post, byp, draws = eb_setup()
-    plain = build_set(CredibleSetSpec(cset.H_DELTA_BALL, 0.1), draws, byp)
-    inter = build_set(CredibleSetSpec(cset.H_DELTA_EB, 0.1), draws, byp)
+    obs, fitted, draws = eb_setup()
+    plain = build_set(CredibleSetSpec(cset.H_DELTA_BALL, 0.1), draws, fitted)
+    inter = build_set(CredibleSetSpec(cset.H_DELTA_EB, 0.1), draws, fitted)
     assert plain.radius == inter.radius
     assert inter.second is not None
     assert inter.second.radius == pytest.approx(math.sqrt(math.log(obs.n)))
 
 
 def test_hb_variant_needs_median():
-    obs, post, byp, draws = eb_setup()
-    with pytest.raises(ValueError):
-        build_set(CredibleSetSpec(cset.H_DELTA_HB, 0.1), draws, byp)
-    byp2 = PosteriorByproducts(obs, posterior_mean=post.means, alpha_median=1.0)
-    cs = build_set(CredibleSetSpec(cset.H_DELTA_HB, 0.1), draws, byp2)
+    # the HB constraint reads the hyperposterior median, so an EB fit, whose
+    # alpha_hat is the likelihood maximizer, is refused
+    obs, fitted, draws = eb_setup()
+    with pytest.raises(ValueError, match="hierarchical Bayes fit"):
+        build_set(CredibleSetSpec(cset.H_DELTA_HB, 0.1), draws, fitted)
+    hb = dataclasses.replace(cset.fit(obs, "hb"), alpha_hat=1.0)
+    cs = build_set(CredibleSetSpec(cset.H_DELTA_HB, 0.1), draws, hb)
     want_exponent = 1.0 - 2.0 / math.log(obs.n)
     assert cs.second.norm_spec.s == pytest.approx(want_exponent)
     assert cs.second.radius == pytest.approx(math.log(math.log(obs.n))
@@ -150,8 +142,8 @@ def test_hb_variant_needs_median():
 
 
 def test_membership_and_binding_constraint():
-    obs, post, byp, draws = eb_setup()
-    cs = build_set(CredibleSetSpec(cset.H_DELTA_BALL, 0.1), draws, byp)
+    obs, fitted, draws = eb_setup()
+    cs = build_set(CredibleSetSpec(cset.H_DELTA_BALL, 0.1), draws, fitted)
     assert cs.contains(cs.center).member
     # construct a point just outside the ball along the first coordinate:
     # the H(delta) weight of k=1 equals one, so the needed bump is the radius
@@ -163,20 +155,20 @@ def test_membership_and_binding_constraint():
 
 
 def test_intersected_credibility_never_exceeds_plain():
-    obs, post, byp, draws = eb_setup()
-    fresh = gp.sample(post, 300, 99)
+    obs, fitted, draws = eb_setup()
+    fresh = fitted.sample(300, 99).draws
     for gamma in (0.05, 0.2):
-        plain = build_set(CredibleSetSpec(cset.H_DELTA_BALL, gamma), draws, byp)
-        inter = build_set(CredibleSetSpec(cset.H_DELTA_EB, gamma), draws, byp)
-        assert (inter.membership(fresh.draws).mean()
-                <= plain.membership(fresh.draws).mean() + 1e-12)
+        plain = build_set(CredibleSetSpec(cset.H_DELTA_BALL, gamma), draws, fitted)
+        inter = build_set(CredibleSetSpec(cset.H_DELTA_EB, gamma), draws, fitted)
+        assert (inter.membership(fresh).mean()
+                <= plain.membership(fresh).mean() + 1e-12)
 
 
 def test_fresh_draw_credibility_near_nominal():
-    obs, post, byp, draws = eb_setup(n=500.0, K=2048, M=2000)
-    fresh = gp.sample(post, 2000, 1234)
-    cs = build_set(CredibleSetSpec(cset.H_DELTA_EB, 0.05), draws, byp)
-    assert cs.membership(fresh.draws).mean() == pytest.approx(0.95, abs=0.01)
+    obs, fitted, draws = eb_setup(n=500.0, K=2048, M=2000)
+    fresh = fitted.sample(2000, 1234).draws
+    cs = build_set(CredibleSetSpec(cset.H_DELTA_EB, 0.05), draws, fitted)
+    assert cs.membership(fresh).mean() == pytest.approx(0.95, abs=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +198,10 @@ def test_sigma_accumulates_levels():
 
 
 def test_multiscale_band_assembly():
-    obs, post, byp, draws = band_setup()
-    est = byp.threshold
+    obs, fitted, draws = band_setup()
+    est = fitted.threshold
     w = WeightSequence.power_law(0.5, obs.basis.max_index)
-    cs = build_set(CredibleSetSpec(cset.MULTISCALE_BAND, 0.05, weights=w), draws, byp)
+    cs = build_set(CredibleSetSpec(cset.MULTISCALE_BAND, 0.05, weights=w), draws, fitted)
     assert cs.band is not None and cs.band.sigma > 0
     assert np.array_equal(cs.band.center, np.where(est.support, obs.y, 0.0))
 
@@ -221,9 +213,8 @@ def test_multiscale_band_assembly():
 def test_diameter_zero_for_identical_draws():
     b = BasisSpec(sm.FOURIER_SINE, 8)
     obs = sm.NoisyObservation(b, np.zeros(8), 10.0, 0)
-    byp = PosteriorByproducts(obs, posterior_mean=np.zeros(8), alpha_hat=1.0)
     draws = np.tile(np.linspace(0, 1, 8), (30, 1))
-    cs = build_set(CredibleSetSpec(cset.L2_BALL, 0.1), draws, byp)
+    cs = build_set(CredibleSetSpec(cset.L2_BALL, 0.1), draws, cset.fit(obs, "fixed:1.0"))
     assert diameter_estimate(cs, draws, NormSpec.l2()) == 0.0
 
 
@@ -232,14 +223,11 @@ def test_diameter_triangle_bound_for_band():
     b = BasisSpec(sm.HAAR_WAVELET, sm.default_wavelet_truncation(n))
     f0 = sm.truncated_laplace_signal(0.5, 5.0, b)
     obs = sm.observe(f0, n, 22)
-    post = ss.posterior(obs, ss.SlabSpikeConfig())
-    est = ss.posterior_median(post)
-    byp = PosteriorByproducts(obs, posterior_mean=post.slab_weight * post.slab_mean,
-                              threshold=est)
-    draws = ss.sample(post, 400, 6)
+    fitted = cset.fit(obs, "slabspike")
+    draws = fitted.sample(400, 6).draws
     w = WeightSequence.power_law(0.5, b.max_index)
-    cs = build_set(CredibleSetSpec(cset.MULTISCALE_BAND, 0.05, weights=w), draws, byp)
-    pool = draws.draws[:200]
+    cs = build_set(CredibleSetSpec(cset.MULTISCALE_BAND, 0.05, weights=w), draws, fitted)
+    pool = draws[:200]
     members = pool[cs.membership(pool)]
     dists = sm.norm(members - cs.band.center, NormSpec.sup(), b)
     diam = diameter_estimate(cs, pool, NormSpec.sup())
@@ -282,7 +270,7 @@ def test_oversmoothed_pointwise_band_misses_the_peak():
     for seed in range(5):
         obs = sm.observe(f0, n, 300 + seed)
         over = ss.posterior(obs, ss.SlabSpikeConfig(j0_rule=("explicit", 2), tau=60.0))
-        draws = ss.sample(over, 1000, 400 + seed)
+        draws = ss.sample(over, 1000, 400 + seed).draws
         lo, hi = cset.pointwise_band(draws, b, np.array([0.5]), 0.05)
         misses += not (lo[0] <= peak_val <= hi[0])
     assert misses >= 4
@@ -299,7 +287,7 @@ def test_centering_equivalence_between_shift_and_posterior_mean():
             obs = sm.observe(f0, n, 70 + seed)
             eb = gp.empirical_bayes_alpha(obs)
             post = gp.posterior(obs, eb.alpha_hat)
-            draws = gp.sample(post, 1500, 700 + seed)
+            draws = gp.sample(post, 1500, 700 + seed).draws
             rY = calibrate_radius(draws, obs.y, nrm, 0.05, b)
             rM = calibrate_radius(draws, post.means, nrm, 0.05, b)
             changes.append(abs(rY - rM) / rY)
@@ -316,12 +304,13 @@ def test_plain_ball_members_concentrate_at_the_adaptive_rate():
     n, beta, delta, gamma = 2000.0, 1.0, 2.1, 0.05
     rate = n ** (-beta / (2 * beta + 1)) * math.log(n) ** ((2 * delta * beta + 0.5)
                                                            / (2 * beta + 1))
-    obs, post, byp, draws = eb_setup(n=n, K=8192, seed=31, M=1500)
-    l2d = np.sqrt(((draws.draws - post.means) ** 2).sum(axis=1))
+    obs, fitted, draws = eb_setup(n=n, K=8192, seed=31, M=1500)
+    mean = fitted.posterior_mean
+    l2d = np.sqrt(((draws - mean) ** 2).sum(axis=1))
     C = float(np.max(l2d)) / rate
-    ball = build_set(CredibleSetSpec(cset.H_DELTA_BALL, gamma, delta=delta), draws, byp)
-    fresh = gp.sample(post, 1500, 999)
-    inside_ball = ball.membership(fresh.draws)
-    inside_l2 = np.sqrt(((fresh.draws - post.means) ** 2).sum(axis=1)) <= C * rate
+    ball = build_set(CredibleSetSpec(cset.H_DELTA_BALL, gamma, delta=delta), draws, fitted)
+    fresh = fitted.sample(1500, 999).draws
+    inside_ball = ball.membership(fresh)
+    inside_l2 = np.sqrt(((fresh - mean) ** 2).sum(axis=1)) <= C * rate
     assert np.mean(inside_ball & inside_l2) >= 1 - gamma - 0.02
 

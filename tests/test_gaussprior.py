@@ -16,7 +16,7 @@ def make_obs(n=500.0, K=256, seed=3, signal="sine"):
     if signal == "sine":
         f0 = sm.power_sine_signal(1.5, 1.0, b)
     else:
-        f0 = sm.custom_signal(np.zeros(K), b)
+        f0 = sm.SignalCoefficients(b, np.zeros(K))
     return sm.observe(f0, n, seed)
 
 
@@ -173,8 +173,7 @@ def test_hierarchical_weights_normalized():
 
 def test_hierarchical_degenerate_hyperprior_concentrates():
     # an extreme exponential rate crushes the posterior onto the lowest cell
-    hp = gp.hierarchical_marginal(make_obs(n=10.0, K=4, seed=2),
-                                  hyperprior="exponential", hyperprior_params=(5e4,))
+    hp = gp.hierarchical_marginal(make_obs(n=10.0, K=4, seed=2), rate=5e4)
     order = np.argsort(hp.grid)
     assert hp.weights[order[0]] > 0.95
     assert hp.weights[order[:3]].sum() > 0.999
@@ -186,7 +185,7 @@ def test_hierarchical_flat_likelihood_matches_hyperprior_quadrature():
     b = BasisSpec(sm.FOURIER_SINE, 1)
     obs = sm.NoisyObservation(b, np.zeros(1), 1.0, 0)
     rate = 1.0
-    hp = gp.hierarchical_marginal(obs, "exponential", (rate,))
+    hp = gp.hierarchical_marginal(obs, rate)
     lo, hi = hp.grid[0], hp.grid[-1]
     total = expon.cdf(hi, scale=1 / rate) - expon.cdf(lo, scale=1 / rate)
     cum = np.cumsum(hp.weights)
@@ -198,11 +197,11 @@ def test_hierarchical_flat_likelihood_matches_hyperprior_quadrature():
 def test_hierarchical_median_conventions():
     grid = np.linspace(0.1, 3.0, 601)
     logw = np.full(601, -math.log(601))
-    hp = gp.HyperPosterior(grid, logw, "exponential", (1.0,), make_obs(K=4))
+    hp = gp.HyperPosterior(grid, logw)
     assert gp.hierarchical_median(hp) == pytest.approx(grid[300])
     one = np.full(601, -np.inf)
     one[77] = 0.0
-    hp2 = gp.HyperPosterior(grid, one, "exponential", (1.0,), make_obs(K=4))
+    hp2 = gp.HyperPosterior(grid, one)
     assert gp.hierarchical_median(hp2) == pytest.approx(grid[77])
 
 
@@ -232,7 +231,7 @@ def test_sample_hierarchical_degenerate_matches_fixed_alpha():
     obs = make_obs(n=50.0, K=16, seed=9)
     grid = np.array([0.3, 1.1, 2.0])
     logw = np.array([-np.inf, 0.0, -np.inf])
-    hp = gp.HyperPosterior(grid, logw, "exponential", (1.0,), obs)
+    hp = gp.HyperPosterior(grid, logw)
     hier = gp.sample_hierarchical(hp, obs, 5000, 11).draws
     post = gp.posterior(obs, 1.1)
     fixed = gp.sample(post, 5000, 12).draws

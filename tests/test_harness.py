@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from credlab import cli, harness as hz
+from credlab import cli, gaussprior as gp, harness as hz
 
 DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
 
@@ -229,8 +229,8 @@ def test_dirichlet_band_envelopes_contain_mean(tmp_path):
 
 def test_coverage_fits_and_draws_once_per_replication(monkeypatch):
     calls = []
-    sample = hz.gaussprior.sample
-    monkeypatch.setattr(hz.gaussprior, "sample",
+    sample = gp.sample
+    monkeypatch.setattr(gp, "sample",
                         lambda *a, **k: calls.append(1) or sample(*a, **k))
     cfg = tiny_cfg("coverage", reps=3, draws=40, prior="fixed:1.0",
                    gamma_list=(0.05, 0.1, 0.2))
@@ -289,13 +289,52 @@ def test_cli_bad_config_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--n", "200", "--draws", "5"], "draws >= 20"),
-    (["--n", "1", "--draws", "40"], "n must exceed 1"),
+    (["coverage", "--n", "200", "--draws", "5"], "draws >= 20"),
+    (["coverage", "--n", "1", "--draws", "40"], "n must exceed 1"),
+    (["coverage", "--n", ""], "coverage needs at least one noise level n"),
+    (["radius-scaling", "--n", ""], "radius_scaling needs at least one noise level n"),
+    # a log-log slope needs two distinct n
+    (["radius-scaling", "--n", "500"], "at least two distinct noise levels"),
+    (["radius-scaling", "--n", "500,500"], "at least two distinct noise levels"),
 ])
 def test_cli_validates_after_overrides(tmp_path, capsys, flags, message):
-    rc = cli.main(["coverage", "--reps", "2", "--out", str(tmp_path)] + flags)
+    rc = cli.main(flags + ["--reps", "2", "--out", str(tmp_path)])
     assert rc == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["neg-bvm", "--n", "2000"], "--n"),
+    (["neg-bvm", "--gamma", "0.1"], "--gamma"),
+    (["neg-bvm", "--prior", "hb", "--signal", "power_sine:1:1"], "--prior, --signal"),
+    (["dirichlet", "--prior", "hb"], "--prior"),
+    (["dirichlet", "--signal", "power_sine:1.5:1.0"], "--signal"),
+])
+def test_cli_rejects_flags_the_experiment_never_reads(tmp_path, capsys, argv, unread):
+    rc = cli.main(argv + ["--draws", "40", "--reps", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {argv[0]} does not read {unread}")
+    assert not os.listdir(tmp_path)
+
+
+def test_cli_unread_config_key_is_rejected(tmp_path, capsys):
+    conf = tmp_path / "run.cfg"
+    conf.write_text("prior = hb\n")
+    out = tmp_path / "out"
+    assert cli.main(["dirichlet", "--config", str(conf), "--out", str(out)]) == 2
+    assert "dirichlet does not read --prior" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_unsupported_signal_exits_2(tmp_path, capsys):
+    rc = cli.main(["coverage", "--signal", "volterra_sine:1.5:1.0", "--n", "200",
+                   "--draws", "40", "--reps", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unsupported signal 'volterra_sine:1.5:1.0'")
     assert not os.listdir(tmp_path)
 
 

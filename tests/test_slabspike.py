@@ -27,8 +27,9 @@ def test_config_rules():
     assert cfg.j0(200.0) == 3  # ceil(sqrt(log 200))
     assert cfg.jn(200.0) == 7
     assert cfg.j0(10.0) < cfg.j0(1e5) < cfg.j0(1e12)
-    p = ss.SlabSpikeConfig(j0_rule=("power_log", 0.5))
-    assert p.j0(2000.0) == math.ceil(math.log(2000.0) ** 0.5)
+    assert ss.SlabSpikeConfig(j0_rule=("explicit", 2)).j0(2000.0) == 2
+    with pytest.raises(ValueError, match="unknown j0 rule"):
+        ss.SlabSpikeConfig(j0_rule=("power_log", 0.5)).j0(2000.0)
     with pytest.raises(ValueError):
         ss.SlabSpikeConfig(tau=0.5)
     with pytest.raises(ValueError):
@@ -42,7 +43,8 @@ def test_mixture_weight_band_and_crossover():
     w = cfg.mixture_weight(j, n)
     assert np.all(w <= 0.5)
     assert np.all(w >= n ** (-5.0))
-    cross = cfg.crossover_level(n)
+    # past this level the n^{-K} floor takes over from 2^{-j(1+tau)}
+    cross = math.ceil(5.0 * math.log2(n) / 2.0)
     assert np.all(w[j > cross] == pytest.approx(n ** (-5.0)))
     assert np.all(w[(j <= cross) & (2.0 ** (-j * 2.0) <= 0.5)]
                   >= 2.0 ** (-j[(j <= cross) & (2.0 ** (-j * 2.0) <= 0.5)] * 2.0) - 1e-300)
@@ -216,7 +218,7 @@ def test_escaping_mass_equals_dense_reference():
     cases = [(post, obs, w, radius) for post, obs, w, radius, _, _
              in negative_bvm_calls()]
     basis = BasisSpec(sm.HAAR_WAVELET, sm.default_wavelet_truncation(2000.0))
-    obs = sm.observe(sm.custom_signal(np.zeros(basis.size), basis), 2000.0, 4)
+    obs = sm.observe(sm.SignalCoefficients(basis, np.zeros(basis.size)), 2000.0, 4)
     post = ss.posterior(obs, ss.SlabSpikeConfig())
     w = sm.WeightSequence.power_law(0.5, basis.max_index)
     cases.append((post, obs, w, float(np.max(np.abs(obs.y) / w.per_position(basis))) * 1.05))
