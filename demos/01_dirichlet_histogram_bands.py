@@ -25,7 +25,7 @@ def main():
     cfg.draws = 4000
     cfg.out_dir = OUT
     report = hz.run_dirichlet_demo(cfg)
-    path = hz.emit(report, "csv", os.path.join(OUT, "coverage_summary.csv"))
+    path = hz.emit(report, os.path.join(OUT, "coverage_summary.csv"))
     print(f"coverage summary -> {path}")
     for row in report.row_dicts():
         print(f"  n={row['n']:>6}  bins=2^{row['L']}  "

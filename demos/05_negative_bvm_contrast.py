@@ -21,7 +21,7 @@ OUT = os.path.join(os.path.dirname(__file__), "output")
 def main():
     cfg = hz.ExperimentConfig.defaults("negative_bvm")
     report = hz.run_negative_bvm(cfg)
-    path = hz.emit(report, "csv", os.path.join(OUT, "negative_bvm.csv"))
+    path = hz.emit(report, os.path.join(OUT, "negative_bvm.csv"))
     meta = report.meta
     print(f"tested coordinate: flattened position {report.rows[0][2]} "
           f"(level {report.rows[0][3]}) at n = {report.rows[0][1]:.0f}, "

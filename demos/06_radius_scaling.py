@@ -19,7 +19,7 @@ OUT = os.path.join(os.path.dirname(__file__), "output")
 def main():
     cfg = hz.ExperimentConfig.defaults("radius_scaling")
     report = hz.run_radius_scaling(cfg)
-    path = hz.emit(report, "csv", os.path.join(OUT, "radius_scaling.csv"))
+    path = hz.emit(report, os.path.join(OUT, "radius_scaling.csv"))
     for r in report.row_dicts():
         print(f"n={r['n']:>5}: radius={r['mean_l2_radius_fixed_alpha']:.4f}  "
               f"diameter={r['mean_l2_diameter_eb']:.4f}")

@@ -4,7 +4,8 @@ Exit codes: 0 on success, 2 on configuration errors ("config error: ...")
 and on errors raised while the experiment runs ("error: ..."), 3 when
 --check is set and one of the experiment's headline thresholds fails.  Any
 flag may also be supplied through a KEY=VALUE config file via --config;
-explicit flags win.
+explicit flags win; it also takes the experiment's keys in
+``harness.FIELD_KEYS`` and ``harness.EXTRAS``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--prior", help="eb | hb | fixed:<alpha> | slabspike")
         sp.add_argument("--signal", help="power_sine:a:b | truncated_laplace:loc:scale")
         sp.add_argument("--out", help="output directory (default: reports)")
-        sp.add_argument("--format", choices=("csv", "json"), help="report format")
         sp.add_argument("--config", help="KEY=VALUE config file supplying any flag")
         sp.add_argument("--check", action="store_true",
                         help="exit 3 when a headline threshold fails")
@@ -63,8 +63,21 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-def _parse_list(text: str, cast):
-    return tuple(cast(tok) for tok in text.split(",") if tok)
+def _parse_list(text: str):
+    return tuple(float(tok) for tok in text.split(",") if tok)
+
+
+# Each flag, the ExperimentConfig field it sets and how its value parses.
+FLAGS = (("n", "n_list", _parse_list), ("gamma", "gamma_list", _parse_list),
+         ("draws", "draws", int), ("reps", "reps", int), ("seed", "seed", int),
+         ("prior", "prior", str), ("signal", "signal", str), ("out", "out_dir", str))
+
+
+def _parse(key: str, value, cast):
+    try:
+        return cast(str(value))
+    except ValueError:
+        raise ValueError(f"cannot parse {key} = {value!r}") from None
 
 
 def make_config(args: argparse.Namespace) -> harness.ExperimentConfig:
@@ -72,27 +85,18 @@ def make_config(args: argparse.Namespace) -> harness.ExperimentConfig:
     the result is validated again after the overrides.  A flag or config key
     the experiment never reads is rejected."""
     cfg = harness.ExperimentConfig.defaults(SUBCOMMANDS[args.command])
-    file_vals = read_config_file(args.config) if args.config else {}
-
-    def pick(flag, file_key=None):
-        v = getattr(args, flag, None)
-        return v if v is not None else file_vals.get(file_key or flag)
-
-    overrides = (("n", "n_list", lambda v: _parse_list(str(v), float)),
-                 ("gamma", "gamma_list", lambda v: _parse_list(str(v), float)),
-                 ("draws", "draws", int), ("reps", "reps", int),
-                 ("seed", "seed", int), ("prior", "prior", str),
-                 ("signal", "signal", str), ("format", "fmt", str))
-    unread = [flag for flag in harness.UNREAD_FLAGS.get(cfg.experiment, ())
-              if pick(flag) is not None]
+    given = read_config_file(args.config) if args.config else {}
+    given.update((flag, getattr(args, flag)) for flag, _, _ in FLAGS
+                 if getattr(args, flag) is not None)
+    unread = [flag for flag, attr, _ in FLAGS
+              if attr in harness.UNREAD_FIELDS.get(cfg.experiment, ()) and flag in given]
     if unread:
         raise ValueError(f"{args.command} does not read --{', --'.join(unread)}")
-    fields = {attr: cast(pick(flag)) for flag, attr, cast in overrides
-              if pick(flag) is not None}
-    out = pick("out")
-    fields["out_dir"] = str(out) if out is not None else "reports"
-    known = {flag for flag, _, _ in overrides} | {"out"}
-    fields["extras"] = {key: val for key, val in file_vals.items() if key not in known}
+    field_keys = [(key, key, float) for key in harness.FIELD_KEYS.get(cfg.experiment, ())]
+    fields = {attr: _parse(key, given.pop(key), cast)
+              for key, attr, cast in (*FLAGS, *field_keys) if key in given}
+    fields.setdefault("out_dir", "reports")
+    fields["extras"] = given
     return dataclasses.replace(cfg, **fields)
 
 
@@ -108,8 +112,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    path = os.path.join(cfg.out_dir, f"{report.kind}.{cfg.fmt}")
-    harness.emit(report, cfg.fmt, path)
+    path = os.path.join(cfg.out_dir, f"{report.kind}.csv")
+    harness.emit(report, path)
     print(f"wrote {path}")
     failures = 0
     if args.check:

@@ -33,14 +33,17 @@ MULTISCALE_BALL = "MultiscaleBall"
 MULTISCALE_BAND = "MultiscaleBand"
 SUP_BALL = "SupBall"
 
-_VARIANTS = (L2_BALL, H_DELTA_BALL, H_DELTA_EB, H_DELTA_HB,
-             MULTISCALE_BALL, MULTISCALE_BAND, SUP_BALL)
+VARIANTS = (L2_BALL, H_DELTA_BALL, H_DELTA_EB, H_DELTA_HB,
+            MULTISCALE_BALL, MULTISCALE_BAND, SUP_BALL)
 
 CENTER_SHIFT = "shift_estimator_Y"
 CENTER_POSTERIOR_MEAN = "posterior_mean"
 CENTER_EFFICIENT = "efficient_estimator"
 
+# The delta of the H(delta) norm every H(delta) set is measured in.
 DEFAULT_DELTA = 2.1
+# The band width of the two-stage multiscale set is v_n = (log n)^VN_POWER.
+VN_POWER = 0.25
 # Undersmoothing eps_n = SMOOTH_EPS_NUM / log n with radius constant SMOOTH_C.
 # The theory requires SMOOTH_C > 1/SMOOTH_EPS_NUM; 1 > 1/4 holds with margin,
 # and eps_n = 4/log n keeps the data-driven exponent below the true
@@ -59,12 +62,10 @@ class CredibleSetSpec:
     variant: str
     gamma: float
     center_rule: str = CENTER_SHIFT
-    delta: float = DEFAULT_DELTA
     weights: Optional[WeightSequence] = None
-    vn_power: float = 0.25          # v_n = (log n)^vn_power for the band width
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown credible set variant {self.variant!r}")
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0,1)")
@@ -321,7 +322,7 @@ def build_set(spec: CredibleSetSpec, draws, fitted: FittedPosterior, gammas=None
             second = SecondConstraint(NormSpec.sobolev_log(beta_hat, 0.0),
                                       fitted.posterior_mean,
                                       math.log(logn) * math.sqrt(logn), "smoothness")
-        return calibrated(center, NormSpec.h_delta(spec.delta), second=second)
+        return calibrated(center, NormSpec.h_delta(DEFAULT_DELTA), second=second)
 
     if variant == MULTISCALE_BALL:
         return calibrated(center_for(spec.center_rule), NormSpec.multiscale(spec.weights))
@@ -332,7 +333,7 @@ def build_set(spec: CredibleSetSpec, draws, fitted: FittedPosterior, gammas=None
         est = fitted.threshold
         pi_med = np.where(est.support, obs.y, 0.0)
         jn = int(math.floor(math.log2(n)))
-        vn = logn ** spec.vn_power
+        vn = logn ** VN_POWER
         sigma = sigma_band_width(est.support, basis, n, vn, j_cap=jn)
         return calibrated(center_for(spec.center_rule), NormSpec.multiscale(spec.weights),
                           band=BandConstraint(pi_med, sigma, est.support))

@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from typing import Optional
 
 import numpy as np
@@ -28,18 +28,35 @@ EXPERIMENTS = ("coverage", "credibility_table", "independence_l2",
                "independence_multiscale", "negative_bvm", "dirichlet_demo",
                "radius_scaling", "oversmoothing_demo")
 
-# The ``extras`` keys each experiment reads; any other key is rejected.
+# The config keys beyond the flags that each experiment reads, kept in
+# ``extras``: how a value parses, its default, its valid range and that range
+# in words.  Any other key is rejected.
+_COVERAGE_KEYS = {
+    "variant": (str, None, credsets.VARIANTS.__contains__, "a credible-set variant"),
+    "diam_reps": (int, 10, lambda v: v >= 0, ">= 0"),
+}
+_POSITIVE = (lambda v: v > 0, "> 0")
+# Length of the negative-BvM sample-size sequence n_m; test_m indexes it.
+N_M_LEN = 24
 EXTRAS = {
-    "coverage": ("variant", "diam_reps"),
-    "oversmoothing_demo": ("variant", "diam_reps"),
-    "negative_bvm": ("beta", "R", "r", "tau", "test_m", "subseq_base", "subseq_ratio"),
-    "dirichlet_demo": ("weights_eps", "grid_points"),
+    "coverage": _COVERAGE_KEYS,
+    "oversmoothing_demo": _COVERAGE_KEYS,
+    "negative_bvm": {"beta": (float, 1.0, *_POSITIVE), "R": (float, 2.0, *_POSITIVE),
+                     "r": (float, 0.95, *_POSITIVE),
+                     "test_m": (int, 2, lambda v: 1 <= v <= N_M_LEN, f"in 1..{N_M_LEN}"),
+                     "subseq_base": (float, 1e4, lambda v: v > 1, "> 1"),
+                     "subseq_ratio": (float, 10.0, lambda v: v > 1, "> 1")},
+    "dirichlet_demo": {"grid_points": (int, 257, lambda v: v >= 2, ">= 2")},
 }
 
-# The command-line flags (or config-file keys) an experiment never reads;
-# setting one is rejected.
-UNREAD_FLAGS = {
-    "negative_bvm": ("n", "gamma", "prior", "signal"),
+# The config keys that set an ExperimentConfig field, for the one experiment
+# that reads it.
+FIELD_KEYS = {"negative_bvm": ("tau",), "dirichlet_demo": ("weights_eps",)}
+
+# The fields an experiment never reads; setting the flag or config key of
+# one is rejected, and the report meta omits them.
+UNREAD_FIELDS = {
+    "negative_bvm": ("n_list", "gamma_list", "prior", "signal"),
     "dirichlet_demo": ("prior", "signal"),
 }
 
@@ -58,43 +75,47 @@ class ExperimentConfig:
     seed: int = 20240601
     prior: str = "eb"                      # eb | hb | fixed:<alpha> | slabspike
     signal: str = "power_sine:1.5:1.0"
-    delta: float = credsets.DEFAULT_DELTA
     weights_eps: float = 0.5               # multiscale weights w_l = l^(1/2+eps)
-    vn_power: float = 0.25
-    tau: float = 1.0
-    K_floor: float = 5.0
+    tau: float = 1.0                       # slab weights decay like 2^{-j(1+tau)}
     out_dir: Optional[str] = None
-    fmt: str = "csv"
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.draws < 20 or self.reps < 1:
-            raise ValueError("counts must be positive (draws >= 20)")
+        if self.draws < 20 or self.reps < 1 or self.seed < 0:
+            raise ValueError("counts must be positive (draws >= 20), the seed nonnegative")
         if not self.gamma_list or not all(0 < g < 1 for g in self.gamma_list):
             raise ValueError("gamma values must lie in (0,1)")
         if not self.n_list and self.experiment != "negative_bvm":
             raise ValueError(f"{self.experiment} needs at least one noise level n")
-        if not all(n > 1 for n in self.n_list):
-            raise ValueError("noise levels n must exceed 1")
+        if not all(1 < n < math.inf for n in self.n_list):
+            raise ValueError("noise levels n must exceed 1 and be finite")
         if self.experiment == "radius_scaling" and len(set(self.n_list)) < 2:
             raise ValueError("radius_scaling fits a log-log slope and needs at least "
                              "two distinct noise levels n")
+        if not (0.5 < self.tau < math.inf and 0 < self.weights_eps < math.inf):
+            raise ValueError("tau must be finite and exceed 1/2, weights_eps finite and positive")
         kind, _, alpha = self.prior.partition(":")
         try:
             known = (self.prior in ("eb", "hb", "slabspike")
-                     or kind == "fixed" and float(alpha) >= 0)
+                     or kind == "fixed" and 0 <= float(alpha) < math.inf)
         except ValueError:
             known = False
         if not known:
             raise ValueError(f"unknown prior {self.prior!r} "
                              "(eb | hb | slabspike | fixed:<alpha >= 0>)")
-        allowed = EXTRAS.get(self.experiment, ())
+        if self.experiment in ("radius_scaling", "oversmoothing_demo") and kind != "fixed":
+            raise ValueError(f"{self.experiment} reads only fixed:<alpha> priors, "
+                             f"not {self.prior!r}")
+        allowed = EXTRAS.get(self.experiment, {})
         unknown = sorted(set(self.extras) - set(allowed))
         if unknown:
+            keys = [*allowed, *FIELD_KEYS.get(self.experiment, ())]
             raise ValueError(f"unknown config keys for {self.experiment}: "
-                             f"{', '.join(unknown)} (allowed: {', '.join(allowed) or 'none'})")
+                             f"{', '.join(unknown)} (allowed: {', '.join(keys) or 'none'})")
+        self.extras = {key: _parse_key(key, raw, *allowed[key])
+                       for key, raw in self.extras.items()}
 
     @classmethod
     def defaults(cls, experiment: str) -> "ExperimentConfig":
@@ -112,14 +133,30 @@ class ExperimentConfig:
                                             prior="slabspike",
                                             signal="truncated_laplace:0.5:5.0"),
             "negative_bvm": dict(n_list=(), gamma_list=(0.05,), draws=1000, reps=5,
-                                 signal="holder_spike"),
+                                 signal="holder_spike", tau=4.0),
             "dirichlet_demo": dict(n_list=(1000, 2000, 5000, 10000),
                                    gamma_list=(0.05,), draws=2000, reps=100,
-                                   signal="truncated_laplace:0.5:5.0"),
+                                   signal="truncated_laplace:0.5:5.0", weights_eps=0.1),
             "radius_scaling": dict(n_list=(500, 2000, 8000), gamma_list=(0.05,),
                                    draws=2000, reps=10, prior="fixed:1.0"),
         }
         return cls(experiment=experiment, **presets[experiment])
+
+
+def _parse_key(key, raw, parse, _default, valid, rule):
+    """A config value of ``key`` parsed and checked against its range."""
+    try:
+        value = parse(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"cannot parse {key} = {raw!r}") from None
+    if isinstance(value, float) and not math.isfinite(value) or not valid(value):
+        raise ValueError(f"{key} = {raw!r} is out of range: must be {rule}")
+    return value
+
+
+def _extras(cfg: ExperimentConfig) -> dict:
+    """Every extras key the experiment reads: the value set, else the default."""
+    return {key: spec[1] for key, spec in EXTRAS.get(cfg.experiment, {}).items()} | cfg.extras
 
 
 @dataclass
@@ -140,52 +177,31 @@ def rep_seeds(master: int, rep: int, count: int):
     return [int(s) for s in np.random.SeedSequence([int(master), int(rep)]).generate_state(count)]
 
 
-def emit(report: Report, fmt: str, path: str) -> str:
-    """Write a versioned, seed-stamped report; identical config + seed give
-    byte-identical files.  Returns the path written."""
+def emit(report: Report, path: str) -> str:
+    """Write a versioned, seed-stamped CSV report: one ``# {meta}`` line, the
+    header, then the rows.  Identical config + seed give byte-identical
+    files.  Returns the path written."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     meta = dict(report.meta)
     meta["schema"] = REPORT_SCHEMA
     meta["kind"] = report.kind
-    if fmt == "json":
-        payload = {"meta": meta, "columns": list(report.columns),
-                   "rows": [list(map(_jsonify, r)) for r in report.rows]}
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    elif fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-            w = csv.writer(fh)
-            w.writerow(report.columns)
-            for r in report.rows:
-                w.writerow([_csvify(v) for v in r])
-    else:
-        raise ValueError("format must be csv or json")
+    with open(path, "w", newline="") as fh:
+        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+        w = csv.writer(fh)
+        w.writerow(report.columns)
+        for r in report.rows:
+            w.writerow([_csvify(v) for v in r])
     return path
 
 
 def parse_report(path: str) -> Report:
-    """Round-trip reader for emitted reports (both formats)."""
+    """Round-trip reader for emitted reports."""
     with open(path) as fh:
-        head = fh.read(1)
-        fh.seek(0)
-        if head == "{":
-            payload = json.load(fh)
-            meta = payload["meta"]
-            return Report(meta["kind"], tuple(payload["columns"]),
-                          [tuple(r) for r in payload["rows"]], meta)
         meta = json.loads(fh.readline().lstrip("# "))
         rows = list(csv.reader(fh))
     columns = tuple(rows[0])
     parsed = [tuple(_uncsvify(v) for v in r) for r in rows[1:]]
     return Report(meta["kind"], columns, parsed, meta)
-
-
-def _jsonify(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
 
 
 def _csvify(v):
@@ -223,11 +239,7 @@ def make_signal(cfg: ExperimentConfig, n: float):
 
 
 def _slab(cfg: ExperimentConfig) -> slabspike.SlabSpikeConfig:
-    return slabspike.SlabSpikeConfig(tau=cfg.tau, K_floor=cfg.K_floor)
-
-
-def _weights_for(cfg: ExperimentConfig, basis: BasisSpec) -> WeightSequence:
-    return WeightSequence.power_law(cfg.weights_eps, basis.max_index)
+    return slabspike.SlabSpikeConfig(tau=cfg.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -243,19 +255,19 @@ def run_coverage(cfg: ExperimentConfig) -> Report:
     smoothness-intersected H(delta) set; the slab-spike prior builds the
     two-stage multiscale band.
     """
-    variant = cfg.extras.get("variant")
-    diam_reps = int(cfg.extras.get("diam_reps", 10))
+    extras = _extras(cfg)
+    variant, diam_reps = extras["variant"], extras["diam_reps"]
     band = cfg.prior == "slabspike"
     dn = NormSpec.sup() if band else NormSpec.l2()
     rows = []
     for n in cfg.n_list:
         f0 = make_signal(cfg, n)
         if band:
+            w = WeightSequence.power_law(cfg.weights_eps, f0.basis.max_index)
             spec = CredibleSetSpec(variant or credsets.MULTISCALE_BAND, cfg.gamma_list[0],
-                                   weights=_weights_for(cfg, f0.basis), vn_power=cfg.vn_power)
+                                   weights=w)
         else:
-            spec = CredibleSetSpec(variant or credsets.H_DELTA_EB, cfg.gamma_list[0],
-                                   delta=cfg.delta)
+            spec = CredibleSetSpec(variant or credsets.H_DELTA_EB, cfg.gamma_list[0])
         levels = range(len(cfg.gamma_list))
         hits = [0 for _ in levels]
         radii, diams = [[] for _ in levels], [[] for _ in levels]
@@ -289,11 +301,8 @@ def run_coverage(cfg: ExperimentConfig) -> Report:
 
 def run_oversmoothing_demo(cfg: ExperimentConfig) -> Report:
     """Coverage collapse under a deliberately too-smooth fixed prior."""
-    if not cfg.prior.startswith("fixed:"):
-        cfg = replace(cfg, prior="fixed:3.0")
     rep = run_coverage(cfg)
     rep.kind = "oversmoothing_demo"
-    rep.meta["kind"] = "oversmoothing_demo"
     return rep
 
 
@@ -305,17 +314,17 @@ def _l2_sets(cfg: ExperimentConfig, obs):
     """Gaussian lane: the smoothed H(delta) set (A) and the l2 ball (B)."""
     gamma = cfg.gamma_list[0]
     return credsets.fit(obs, cfg.prior, _slab(cfg)), (
-        CredibleSetSpec(credsets.H_DELTA_EB, gamma, delta=cfg.delta),
+        CredibleSetSpec(credsets.H_DELTA_EB, gamma),
         CredibleSetSpec(credsets.L2_BALL, gamma))
 
 
 def _band_sets(cfg: ExperimentConfig, obs):
     """Slab-and-spike lane: the two-stage band (A) against the sup-norm ball
     (B), both centered at the efficient estimator."""
-    w = _weights_for(cfg, obs.basis)
+    w = WeightSequence.power_law(cfg.weights_eps, obs.basis.max_index)
     gamma = cfg.gamma_list[0]
     return credsets.fit(obs, "slabspike", _slab(cfg)), (
-        CredibleSetSpec(credsets.MULTISCALE_BAND, gamma, weights=w, vn_power=cfg.vn_power,
+        CredibleSetSpec(credsets.MULTISCALE_BAND, gamma, weights=w,
                         center_rule=credsets.CENTER_EFFICIENT),
         CredibleSetSpec(credsets.SUP_BALL, gamma, center_rule=credsets.CENTER_EFFICIENT))
 
@@ -411,7 +420,6 @@ def loglog_slope(ns, values) -> float:
 def run_radius_scaling(cfg: ExperimentConfig) -> Report:
     """l2 credible radius at fixed alpha and smoothed-set l2 diameter under
     empirical Bayes, against n; slopes estimated by log-log regression."""
-    fixed = cfg.prior if cfg.prior.startswith("fixed:") else "fixed:1.0"
     gamma = cfg.gamma_list[0]
     rows = []
     mean_radii, mean_diams = [], []
@@ -421,14 +429,13 @@ def run_radius_scaling(cfg: ExperimentConfig) -> Report:
         for rep in range(cfg.reps):
             s_obs, s_cal = rep_seeds(cfg.seed, rep, 2)
             obs = observe(f0, n, s_obs)
-            fixed_fit = credsets.fit(obs, fixed)
+            fixed_fit = credsets.fit(obs, cfg.prior)
             fixed_set = build_set(CredibleSetSpec(credsets.L2_BALL, gamma),
                                   fixed_fit.sample(cfg.draws, s_cal).draws, fixed_fit)
             radii.append(fixed_set.radius)
             eb_fit = credsets.fit(obs, "eb")
             eb_draws = eb_fit.sample(cfg.draws, s_cal).draws
-            eb_set = build_set(CredibleSetSpec(credsets.H_DELTA_EB, gamma,
-                                               delta=cfg.delta), eb_draws, eb_fit)
+            eb_set = build_set(CredibleSetSpec(credsets.H_DELTA_EB, gamma), eb_draws, eb_fit)
             diams.append(diameter_estimate(eb_set, eb_draws, NormSpec.l2()))
         mean_radii.append(float(np.mean(radii)))
         mean_diams.append(float(np.mean(diams)))
@@ -459,19 +466,13 @@ def run_negative_bvm(cfg: ExperimentConfig) -> Report:
     radius M_n/sqrt(n) around the observation, M_n = sqrt(log n_m)/(2 w_l),
     under full thresholding and under the sqrt(log n) fitted zone.
     """
-    beta = float(cfg.extras.get("beta", 1.0))
-    R = float(cfg.extras.get("R", 2.0))
-    r = float(cfg.extras.get("r", 0.95))
-    tau = float(cfg.extras.get("tau", 4.0))
-    test_m = int(cfg.extras.get("test_m", 2))
-    base = float(cfg.extras.get("subseq_base", 1e4))
-    ratio = float(cfg.extras.get("subseq_ratio", 10.0))
-
-    n_m = base * ratio ** np.arange(0, 24)
+    ex = _extras(cfg)
+    beta, test_m = ex["beta"], ex["test_m"]
+    n_m = ex["subseq_base"] * ex["subseq_ratio"] ** np.arange(0, N_M_LEN)
     n_test = float(n_m[test_m - 1])
     j_max = max(int(math.floor(math.log2(n_test))), seqmodel.default_wavelet_truncation(n_test) - 3)
     basis = BasisSpec(seqmodel.HAAR_WAVELET, j_max)
-    f0 = seqmodel.holder_spike_signal(beta, R, r, n_m, basis)
+    f0 = seqmodel.holder_spike_signal(beta, ex["R"], ex["r"], n_m, basis)
     level = int(math.floor(math.log2(test_m)))
     w = WeightSequence.power_law(cfg.weights_eps, j_max)
     wl = float(w.values[level])
@@ -487,8 +488,7 @@ def run_negative_bvm(cfg: ExperimentConfig) -> Report:
         for rep in range(cfg.reps):
             s_obs, s_a, s_b = rep_seeds(cfg.seed, rep, 3)
             obs = observe(f0, n_test, s_obs)
-            posts = [slabspike.posterior(obs, slabspike.SlabSpikeConfig(
-                         j0_rule=j0_rule, tau=tau, K_floor=cfg.K_floor))
+            posts = [slabspike.posterior(obs, slabspike.SlabSpikeConfig(j0_rule, cfg.tau))
                      for j0_rule in (("explicit", 0), ("sqrt_log_n",))]
             futures = [pool.submit(_escaping_mass, post, obs, w, radius, cfg.draws, seed)
                        for post, seed in zip(posts, (s_a, s_b))]
@@ -540,14 +540,13 @@ def run_dirichlet_demo(cfg: ExperimentConfig) -> Report:
     Envelope CSVs (x, lower, upper, mean, truth) per n land in ``out_dir``
     when set; the returned report carries the coverage summary.
     """
-    eps = float(cfg.extras.get("weights_eps", 0.1))
-    grid = np.linspace(0.0, 1.0, int(cfg.extras.get("grid_points", 257)))
+    grid = np.linspace(0.0, 1.0, _extras(cfg)["grid_points"])
     gamma = cfg.gamma_list[0]
     rows = []
     for n in cfg.n_list:
         L = dirichlethist.default_resolution(int(n))
         basis = dirichlethist.haar_basis_for(L)
-        ms = NormSpec.multiscale(WeightSequence.power_law(eps, basis.max_index))
+        ms = NormSpec.multiscale(WeightSequence.power_law(cfg.weights_eps, basis.max_index))
         truth = seqmodel.truncated_laplace_signal(0.5, 5.0, basis)
         covered = 0
         env_done = False
@@ -584,17 +583,10 @@ def _emit_dirichlet_envelopes(cfg, n, grid, basis, coefs, mean_coefs, ms,
     sup_d = np.max(np.abs(vals - mean_vals), axis=1)
     q = credsets.order_statistic_radius(sup_d, gamma)
     truth_vals = seqmodel.TruncatedLaplace(0.5, 5.0).pdf(grid)
-    path = os.path.join(cfg.out_dir, f"dirichlet_band_n{int(n)}.csv")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write("# " + json.dumps({"schema": REPORT_SCHEMA, "kind": "dirichlet_band",
-                                    "n": int(n), "seed": cfg.seed,
-                                    "sup_band_halfwidth": q}, sort_keys=True) + "\n")
-        wtr = csv.writer(fh)
-        wtr.writerow(["x", "lower", "upper", "mean", "truth"])
-        for i, x in enumerate(grid):
-            wtr.writerow([repr(float(x)), repr(float(lo[i])), repr(float(hi[i])),
-                          repr(float(mean_vals[i])), repr(float(truth_vals[i]))])
+    emit(Report("dirichlet_band", ("x", "lower", "upper", "mean", "truth"),
+                list(zip(grid, lo, hi, mean_vals, truth_vals)),
+                {"n": int(n), "seed": cfg.seed, "sup_band_halfwidth": q}),
+         os.path.join(cfg.out_dir, f"dirichlet_band_n{int(n)}.csv"))
 
 
 # ---------------------------------------------------------------------------
@@ -602,9 +594,11 @@ def _emit_dirichlet_envelopes(cfg, n, grid, basis, coefs, mean_coefs, ms,
 # ---------------------------------------------------------------------------
 
 def _meta(cfg: ExperimentConfig) -> dict:
-    meta = {k: v for k, v in asdict(cfg).items() if k not in ("out_dir", "fmt")}
-    meta["n_list"] = list(cfg.n_list)
-    meta["gamma_list"] = list(cfg.gamma_list)
+    """The config the experiment ran, with the constants of its credible sets."""
+    skip = ("out_dir", *UNREAD_FIELDS.get(cfg.experiment, ()))
+    meta = {k: v for k, v in asdict(cfg).items() if k not in skip}
+    meta.update(delta=credsets.DEFAULT_DELTA, vn_power=credsets.VN_POWER,
+                K_floor=slabspike.K_FLOOR)
     return meta
 
 

@@ -80,7 +80,6 @@ class SignalCoefficients:
 
     basis: BasisSpec
     coeffs: np.ndarray
-    declared_beta: Optional[float] = None
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
@@ -309,7 +308,7 @@ def power_sine_signal(a: float, b: float, basis: BasisSpec) -> SignalCoefficient
     if basis.is_wavelet:
         raise ValueError("power_sine requires the Fourier sine basis")
     k = np.arange(1, basis.size + 1, dtype=float)
-    return SignalCoefficients(basis, k ** (-a) * np.sin(b * k), declared_beta=a - 0.5)
+    return SignalCoefficients(basis, k ** (-a) * np.sin(b * k))
 
 
 class TruncatedLaplace:
@@ -360,7 +359,7 @@ def truncated_laplace_signal(loc: float, scale: float, basis: BasisSpec) -> Sign
         b = (k + 1.0) / 2 ** l
         out[level_slice(l)] = 2.0 ** (l / 2.0) * (2 * dist.cdf(mid) - dist.cdf(a) - dist.cdf(b))
     # Lipschitz density, so the coefficients sit in a beta = 1 Hoelder ball
-    return SignalCoefficients(basis, out, declared_beta=1.0)
+    return SignalCoefficients(basis, out)
 
 
 def holder_spike_signal(beta: float, R: float, r: float, subsequence,
@@ -401,7 +400,7 @@ def holder_spike_signal(beta: float, R: float, r: float, subsequence,
     cap = R * 2.0 ** (-(np.floor(np.log2(np.arange(1, basis.size))) * (beta + 0.5)))
     if np.any(np.abs(out[1:]) > cap + 1e-12):
         raise ValueError("subsequence grows too slowly for the Hoelder ball")
-    return SignalCoefficients(basis, out, declared_beta=beta)
+    return SignalCoefficients(basis, out)
 
 
 # ---------------------------------------------------------------------------

@@ -18,25 +18,26 @@ from .seqmodel import BasisSpec, NoisyObservation, wavelet_levels
 from .gaussprior import PosteriorDrawSet
 
 
+# Exponent of the n^{-K} floor on the mixture weights.
+K_FLOOR = 5.0
+
+
 @dataclass(frozen=True)
 class SlabSpikeConfig:
     """Prior layout: fitted-zone rule, mixture-weight decay, truncation.
 
     j0_rule is ("sqrt_log_n",) for j0 = ceil(sqrt(log n)) or
     ("explicit", level).  The mixture weight at level j is
-    max(n^{-K_floor}, 2^{-j(1+tau)}) clipped at 1/2, so the n^{-K_floor}
-    floor takes over past level K_floor log2(n) / (1 + tau).
+    max(n^{-K_FLOOR}, 2^{-j(1+tau)}) clipped at 1/2, so the n^{-K_FLOOR}
+    floor takes over past level K_FLOOR log2(n) / (1 + tau).
     """
 
     j0_rule: tuple = ("sqrt_log_n",)
     tau: float = 1.0
-    K_floor: float = 5.0
 
     def __post_init__(self):
         if self.tau <= 0.5:
             raise ValueError("tau must exceed 1/2")
-        if self.K_floor <= 0:
-            raise ValueError("K_floor must be positive")
 
     def j0(self, n: float) -> int:
         kind = self.j0_rule[0]
@@ -50,7 +51,7 @@ class SlabSpikeConfig:
         return int(math.floor(math.log2(n)))
 
     def mixture_weight(self, j, n: float):
-        return np.minimum(0.5, np.maximum(n ** (-self.K_floor),
+        return np.minimum(0.5, np.maximum(n ** (-K_FLOOR),
                                           2.0 ** (-np.asarray(j, dtype=float) * (1.0 + self.tau))))
 
 

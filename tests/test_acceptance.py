@@ -74,7 +74,7 @@ def test_criterion_10_oracle_suites(tmp_path):
         cfg = hz.ExperimentConfig.defaults("credibility_table")
         cfg.n_list, cfg.reps, cfg.draws, cfg.gamma_list = (200,), 2, 40, (0.1,)
         path = tmp_path / f"d{run}.csv"
-        hz.emit(hz.run_credibility_table(cfg), "csv", str(path))
+        hz.emit(hz.run_credibility_table(cfg), str(path))
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
     det_ok = digests[0] == digests[1]
 
@@ -287,7 +287,7 @@ def test_criterion_8_band_coverage_and_diameter():
     cfg.extras["diam_reps"] = 10
     row = hz.run_coverage(cfg).row_dicts()[0]
     cov, diam = row["coverage"], row["mean_diameter"]
-    vn = math.log(n) ** cfg.vn_power
+    vn = math.log(n) ** cset.VN_POWER
     target = (n / math.log(n)) ** (-beta / (2 * beta + 1)) * vn
     ok_cov = 0.90 <= cov <= 1.0
     ok_diam = target / 3.0 <= diam <= 3.0 * target
@@ -326,7 +326,7 @@ def test_dirichlet_pipeline_coverage():
     cfg.n_list = (5000,)
     cfg.reps, cfg.draws = 100, 2000
     cfg.seed = MASTER_SEED
-    cfg.extras["weights_eps"] = 0.1
+    cfg.weights_eps = 0.1
     row = hz.run_dirichlet_demo(cfg).row_dicts()[0]
     ok = row["coverage"] >= 0.90
     report("dirichlet coverage", ok, f"coverage={row['coverage']:.3f} at n=5000")

@@ -301,14 +301,14 @@ def test_plain_ball_members_concentrate_at_the_adaptive_rate():
     # l2 ball of radius C n^{-b/(2b+1)} (log n)^{(2 d b + 1/2)/(2b+1)} stays
     # above 1 - gamma - 0.02: the posterior regularizes automatically, so a C
     # calibrated to hold on essentially all calibration draws keeps holding
-    n, beta, delta, gamma = 2000.0, 1.0, 2.1, 0.05
+    n, beta, delta, gamma = 2000.0, 1.0, cset.DEFAULT_DELTA, 0.05
     rate = n ** (-beta / (2 * beta + 1)) * math.log(n) ** ((2 * delta * beta + 0.5)
                                                            / (2 * beta + 1))
     obs, fitted, draws = eb_setup(n=n, K=8192, seed=31, M=1500)
     mean = fitted.posterior_mean
     l2d = np.sqrt(((draws - mean) ** 2).sum(axis=1))
     C = float(np.max(l2d)) / rate
-    ball = build_set(CredibleSetSpec(cset.H_DELTA_BALL, gamma, delta=delta), draws, fitted)
+    ball = build_set(CredibleSetSpec(cset.H_DELTA_BALL, gamma), draws, fitted)
     fresh = fitted.sample(1500, 999).draws
     inside_ball = ball.membership(fresh)
     inside_l2 = np.sqrt(((fresh - mean) ** 2).sum(axis=1)) <= C * rate

@@ -1,12 +1,16 @@
 import copy
+import dataclasses
 import hashlib
 import importlib.util
 import json
 import math
 import os
+import string
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from credlab import cli, gaussprior as gp, harness as hz
 
@@ -51,7 +55,7 @@ def test_end_to_end_determinism_checksums(tmp_path):
                        gamma_list=(0.1,))
         report = hz.run_credibility_table(cfg)
         p = tmp_path / f"t{run}.csv"
-        hz.emit(report, "csv", str(p))
+        hz.emit(report, str(p))
         digests.append(hashlib.sha256(p.read_bytes()).hexdigest())
     assert digests[0] == digests[1]
 
@@ -64,7 +68,9 @@ def test_end_to_end_determinism_checksums(tmp_path):
 # each replication once per gamma and whose Dirichlet demo read its radii by
 # hand (numpy 2.4, x86-64).  Sharing those passes across gamma, drawing only
 # the slab entries and calibrating every radius by one rule must not move a
-# single byte.
+# single byte.  The negative-BvM and Dirichlet-summary pins were re-recorded
+# when their meta line began to state the tau and weights_eps they run and to
+# omit the flags they never read; their rows are unchanged.
 SMALL = ["--n", "500", "--draws", "200", "--reps", "2"]
 DIRICHLET_SMALL = ["dirichlet", "--n", "1000,2000", "--draws", "200", "--reps", "2"]
 PINNED_REPORTS = {
@@ -87,7 +93,7 @@ PINNED_REPORTS = {
                        "658a03c5cddca25a7cede33f76499b4da85d813171a896ea275fdf581bce1af3"),
     # 250 draws stream as one full chunk of 200 and one partial chunk
     "neg_bvm": (["neg-bvm", "--draws", "250", "--reps", "2"], "negative_bvm.csv",
-                "72e12495adb53e6f41da79d794ad0f85eb0d43dc65548cebb2900bc3cd356e82"),
+                "a9a22d4ac5a41c5ff2ab22ff1760b0305e420c80dbe6a7297cd1c2e7c75164a4"),
     "coverage_eb_gammas": (["coverage", *SMALL, "--gamma", "0.05,0.2"], "coverage.csv",
                            "a927f910ec0085941d4e57b00debf859f1c84f8944f73f1ae10c9bfe13e70227"),
     "coverage_band_gammas": (["coverage", *SMALL, "--gamma", "0.05,0.2",
@@ -99,7 +105,7 @@ PINNED_REPORTS = {
     "oversmooth": (["oversmooth", *SMALL], "oversmoothing_demo.csv",
                    "3819989e7fb801fe27823074eff22097f6cbffd38e2d9d086e23fd21984c79d5"),
     "dirichlet_summary": (DIRICHLET_SMALL, "dirichlet_demo.csv",
-                          "615b4163056fa6612122644789ea6949f7e79a39c91432b778b784ac0479ec07"),
+                          "a42051cb5338fcaa86b026363f65198faae61609f0e1dad95c229d806b1790bc"),
     "dirichlet_band": (DIRICHLET_SMALL, "dirichlet_band_n1000.csv",
                        "f97228d4dd98cb064b322d3d3bc0e7c3790a58033f295fe363594a8db568fd66"),
 }
@@ -116,7 +122,7 @@ def test_negative_bvm_matches_golden_file(tmp_path):
     """The preset negative-BvM report regenerates the committed demo output
     byte for byte."""
     path = hz.emit(hz.run_negative_bvm(hz.ExperimentConfig.defaults("negative_bvm")),
-                   "csv", str(tmp_path / "negative_bvm.csv"))
+                   str(tmp_path / "negative_bvm.csv"))
     golden = os.path.join(DEMOS, "output", "negative_bvm.csv")
     with open(path, "rb") as got, open(golden, "rb") as want:
         assert got.read() == want.read()
@@ -146,12 +152,11 @@ def test_demo_outputs_match_golden_files(tmp_path, script, subdir):
 # emit / parse round trip
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_emit_parse_round_trip(tmp_path, fmt):
+def test_emit_parse_round_trip(tmp_path):
     cfg = tiny_cfg("coverage", reps=2, draws=40)
     report = hz.run_coverage(cfg)
-    p = tmp_path / f"r.{fmt}"
-    hz.emit(report, fmt, str(p))
+    p = tmp_path / "r.csv"
+    hz.emit(report, str(p))
     back = hz.parse_report(str(p))
     assert back.kind == report.kind
     assert back.columns == report.columns
@@ -163,13 +168,6 @@ def test_emit_parse_round_trip(tmp_path, fmt):
             else:
                 assert g == w
     assert back.meta["seed"] == cfg.seed  # seed stamp present in the header
-
-
-def test_emit_rejects_unknown_format(tmp_path):
-    cfg = tiny_cfg("coverage", reps=1, draws=30)
-    report = hz.run_coverage(cfg)
-    with pytest.raises(ValueError):
-        hz.emit(report, "xml", str(tmp_path / "r.xml"))
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +189,24 @@ def test_config_validation():
 
 
 def test_oversmoothing_demo_leaves_config_unchanged():
-    cfg = tiny_cfg("oversmoothing_demo", reps=1, draws=30, prior="eb")
+    cfg = tiny_cfg("oversmoothing_demo", reps=1, draws=30, prior="fixed:2.5")
     before = copy.deepcopy(cfg)
     rep = hz.run_oversmoothing_demo(cfg)
-    assert rep.meta["prior"] == "fixed:3.0"
+    assert rep.kind == "oversmoothing_demo" and rep.meta["prior"] == "fixed:2.5"
     assert cfg == before
+
+
+def test_honest_meta_for_neg_bvm_and_dirichlet():
+    # the meta states the tau and weights_eps each experiment runs, and
+    # leaves out the fields of the flags it never reads
+    cfg = tiny_cfg("negative_bvm", reps=1, draws=40)
+    cfg.extras["subseq_base"] = 100.0
+    meta = hz.run_negative_bvm(cfg).meta
+    assert (meta["tau"], meta["weights_eps"]) == (4.0, 0.5)
+    assert not {"n_list", "gamma_list", "prior", "signal"} & set(meta)
+    meta = hz.run_dirichlet_demo(tiny_cfg("dirichlet_demo", reps=1, draws=40)).meta
+    assert meta["weights_eps"] == 0.1
+    assert not {"prior", "signal"} & set(meta)
 
 
 def test_every_runner_produces_rows(tmp_path):
@@ -272,11 +283,14 @@ def test_cli_runs_and_writes(tmp_path):
 def test_cli_config_file_supplies_flags(tmp_path):
     conf = tmp_path / "run.cfg"
     conf.write_text("n = 200\ngamma = 0.1\ndraws = 40\nreps = 2\n"
-                    "format = json\n# comment line\n")
+                    "seed = 7  # trailing comment\n# comment line\n")
     out = tmp_path / "reports"
-    rc = cli.main(["cred-table", "--config", str(conf), "--out", str(out)])
+    rc = cli.main(["cred-table", "--config", str(conf), "--reps", "3", "--out", str(out)])
     assert rc == 0
-    assert (out / "credibility_table.json").exists()
+    assert os.listdir(out) == ["credibility_table.csv"]
+    meta = hz.parse_report(str(out / "credibility_table.csv")).meta
+    assert (meta["n_list"], meta["gamma_list"], meta["draws"]) == ([200.0], [0.1], 40)
+    assert (meta["reps"], meta["seed"]) == (3, 7)  # the flag wins over the file
 
 
 def test_cli_bad_config_exits_2(tmp_path):
@@ -296,6 +310,13 @@ def test_cli_bad_config_exits_2(tmp_path):
     # a log-log slope needs two distinct n
     (["radius-scaling", "--n", "500"], "at least two distinct noise levels"),
     (["radius-scaling", "--n", "500,500"], "at least two distinct noise levels"),
+    # both experiments read only a fixed-alpha prior
+    (["radius-scaling", "--n", "500,1000", "--prior", "eb"],
+     "radius_scaling reads only fixed:<alpha> priors, not 'eb'"),
+    (["oversmooth", "--n", "500", "--prior", "hb"],
+     "oversmoothing_demo reads only fixed:<alpha> priors, not 'hb'"),
+    (["coverage", "--n", "inf"], "n must exceed 1 and be finite"),
+    (["coverage", "--n", "200", "--seed", "-1"], "seed nonnegative"),
 ])
 def test_cli_validates_after_overrides(tmp_path, capsys, flags, message):
     rc = cli.main(flags + ["--reps", "2", "--out", str(tmp_path)])
@@ -395,6 +416,7 @@ def test_cli_dirichlet_small_n(tmp_path):
     ("neg-bvm", "grid_points = 9\n", False),
     ("dirichlet", "weights_eps = 0.1\ngrid_points = 9\n", True),
     ("cred-table", "variant = L2Ball\n", False),
+    ("coverage", "format = xml\n", False),  # reports are CSV only
 ])
 def test_cli_config_keys_checked_per_experiment(tmp_path, capsys, command, lines, ok):
     conf = tmp_path / "run.cfg"
@@ -402,11 +424,116 @@ def test_cli_config_keys_checked_per_experiment(tmp_path, capsys, command, lines
     argv = [command, "--config", str(conf), "--out", str(tmp_path / "out")]
     if ok:
         cfg = cli.make_config(cli.build_parser().parse_args(argv))
-        assert set(cfg.extras) == {ln.split("=")[0].strip() for ln in lines.splitlines()}
+        keys = {ln.split("=")[0].strip() for ln in lines.splitlines()}
+        fields = keys & {f.name for f in dataclasses.fields(cfg)}
+        assert set(cfg.extras) == keys - fields
     else:
         assert cli.main(argv) == 2
         assert "unknown config keys" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def test_cli_config_keys_parse_once(tmp_path):
+    conf = tmp_path / "run.cfg"
+    conf.write_text("subseq_base = 100\ntau = 3\ntest_m = 3\n")
+    cfg = cli.make_config(cli.build_parser().parse_args(["neg-bvm", "--config", str(conf)]))
+    assert cfg.tau == 3.0 and cfg.extras == {"subseq_base": 100.0, "test_m": 3}
+    assert [type(v) for v in cfg.extras.values()] == [float, int]
+    conf.write_text("weights_eps = 0.2\ngrid_points = 9\n")
+    cfg = cli.make_config(cli.build_parser().parse_args(["dirichlet", "--config", str(conf)]))
+    assert cfg.weights_eps == 0.2 and cfg.extras == {"grid_points": 9}
+
+
+@pytest.mark.parametrize("command, lines, message", [
+    ("neg-bvm", "beta = abc\n", "cannot parse beta = 'abc'"),
+    # test_m indexes the 24 sample sizes n_m
+    ("neg-bvm", "test_m = 0\n", "test_m = '0' is out of range: must be in 1..24"),
+    ("neg-bvm", "test_m = 25\n", "test_m = '25' is out of range"),
+    ("neg-bvm", "subseq_ratio = inf\n", "subseq_ratio = 'inf' is out of range"),
+    ("neg-bvm", "tau = 0.5\n", "tau must be finite and exceed 1/2"),
+    ("neg-bvm", "tau = x\n", "cannot parse tau = 'x'"),
+    ("dirichlet", "weights_eps = nan\n", "weights_eps finite and positive"),
+    ("dirichlet", "grid_points = 1.5\n", "cannot parse grid_points = '1.5'"),
+    ("coverage", "variant = Nope\n", "variant = 'Nope' is out of range"),
+    ("coverage", "draws = many\n", "cannot parse draws = 'many'"),
+])
+def test_cli_bad_config_values_exit_2(tmp_path, capsys, command, lines, message):
+    conf = tmp_path / "run.cfg"
+    conf.write_text(lines)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(conf), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
+
+
+# One valid value for each flag and config key; a key without one fails the
+# reachability test below.
+VALID_VALUES = {
+    "n": "300,600", "gamma": "0.3", "draws": "50", "reps": "3", "seed": "7",
+    "prior": "fixed:2.5", "signal": "truncated_laplace:0.5:4.0", "out": "elsewhere",
+    "tau": "3.0", "weights_eps": "0.2", "variant": "L2Ball", "diam_reps": "1",
+    "beta": "2.0", "R": "3.0", "r": "0.5", "test_m": "3", "subseq_base": "50",
+    "subseq_ratio": "5", "grid_points": "9",
+}
+
+
+def _config_from_lines(command, text):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "run.cfg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        return cli.make_config(cli.build_parser().parse_args([command, "--config", path]))
+
+
+def test_every_config_field_is_settable():
+    # a field no flag or config key can set is a constant in disguise
+    reached = set()
+    for command in cli.SUBCOMMANDS:
+        preset = _config_from_lines(command, "")
+        for key, value in VALID_VALUES.items():
+            try:
+                cfg = _config_from_lines(command, f"{key} = {value}\n")
+            except ValueError:
+                continue
+            reached |= {f.name for f in dataclasses.fields(cfg)
+                        if getattr(cfg, f.name) != getattr(preset, f.name)}
+    fields = {f.name for f in dataclasses.fields(hz.ExperimentConfig) if f.name != "experiment"}
+    assert sorted(fields - reached) == []
+    keys = {flag for flag, _, _ in cli.FLAGS}
+    for table in (hz.EXTRAS, hz.FIELD_KEYS):
+        keys |= {key for spec in table.values() for key in spec}
+    assert keys == set(VALID_VALUES)
+
+
+_LINE_TEXT = st.text(string.printable.strip(), max_size=12)
+_VALUES = st.one_of(_LINE_TEXT, st.integers(-30, 10 ** 6).map(str),
+                    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                    st.sampled_from(sorted(set(VALID_VALUES.values()) | {"nan", "-inf", "1e400"})))
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(sorted(cli.SUBCOMMANDS)),
+       key=st.one_of(st.sampled_from(sorted(VALID_VALUES)), _LINE_TEXT), value=_VALUES)
+def test_any_config_line_is_rejected_or_typed_and_in_range(command, key, value):
+    try:
+        cfg = _config_from_lines(command, f"{key} = {value}\n")
+    except ValueError:
+        return
+    assert all(type(n) in (int, float) and 1 < n < math.inf for n in cfg.n_list)
+    assert cfg.n_list or command == "neg-bvm"
+    assert cfg.gamma_list and all(type(g) is float and 0 < g < 1 for g in cfg.gamma_list)
+    assert all(type(v) is int for v in (cfg.draws, cfg.reps, cfg.seed))
+    assert cfg.draws >= 20 and cfg.reps >= 1 and cfg.seed >= 0
+    assert type(cfg.prior) is str and type(cfg.signal) is str and type(cfg.out_dir) is str
+    assert type(cfg.tau) is float and type(cfg.weights_eps) is float
+    assert 0.5 < cfg.tau < math.inf and 0 < cfg.weights_eps < math.inf
+    for name, value in cfg.extras.items():
+        parse, _, valid, _ = hz.EXTRAS[cfg.experiment][name]
+        assert type(value) is parse and valid(value)
+        assert parse is not float or math.isfinite(value)
+    if "test_m" in cfg.extras:
+        assert 1 <= cfg.extras["test_m"] <= hz.N_M_LEN
 
 
 def test_cli_check_failure_exits_3(tmp_path):

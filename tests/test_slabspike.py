@@ -32,12 +32,11 @@ def test_config_rules():
         ss.SlabSpikeConfig(j0_rule=("power_log", 0.5)).j0(2000.0)
     with pytest.raises(ValueError):
         ss.SlabSpikeConfig(tau=0.5)
-    with pytest.raises(ValueError):
-        ss.SlabSpikeConfig(K_floor=0.0)
 
 
 def test_mixture_weight_band_and_crossover():
-    cfg = ss.SlabSpikeConfig(tau=1.0, K_floor=5.0)
+    cfg = ss.SlabSpikeConfig(tau=1.0)
+    assert ss.K_FLOOR == 5.0
     n = 2000.0
     j = np.arange(1, 40)
     w = cfg.mixture_weight(j, n)
