@@ -38,6 +38,9 @@ _COVERAGE_KEYS = {
 _POSITIVE = (lambda v: v > 0, "> 0")
 # Length of the negative-BvM sample-size sequence n_m; test_m indexes it.
 N_M_LEN = 24
+# Largest tested sample size n_test = n_{test_m}, ten times the preset's 1e5;
+# the Haar basis at n_test has between n_test and 2 n_test coefficients.
+N_TEST_MAX = 1e6
 EXTRAS = {
     "coverage": _COVERAGE_KEYS,
     "oversmoothing_demo": _COVERAGE_KEYS,
@@ -116,6 +119,8 @@ class ExperimentConfig:
                              f"{', '.join(unknown)} (allowed: {', '.join(keys) or 'none'})")
         self.extras = {key: _parse_key(key, raw, *allowed[key])
                        for key, raw in self.extras.items()}
+        if self.experiment == "negative_bvm":
+            _subsequence(_extras(self))
 
     @classmethod
     def defaults(cls, experiment: str) -> "ExperimentConfig":
@@ -152,6 +157,22 @@ def _parse_key(key, raw, parse, _default, valid, rule):
     if isinstance(value, float) and not math.isfinite(value) or not valid(value):
         raise ValueError(f"{key} = {raw!r} is out of range: must be {rule}")
     return value
+
+
+def _subsequence(ex: dict):
+    """The negative-BvM sample sizes n_m = subseq_base * subseq_ratio^(m-1),
+    m = 1..N_M_LEN, and the tested one n_test = n_{test_m}.  Raises when a
+    size overflows or n_test exceeds N_TEST_MAX."""
+    with np.errstate(over="ignore"):
+        n_m = ex["subseq_base"] * ex["subseq_ratio"] ** np.arange(0, N_M_LEN)
+    if not np.all(np.isfinite(n_m)):
+        raise ValueError(f"subseq_base * subseq_ratio^{N_M_LEN - 1} overflows: "
+                         f"the sample sizes n_m, m = 1..{N_M_LEN}, must be finite")
+    n_test = float(n_m[ex["test_m"] - 1])
+    if n_test > N_TEST_MAX:
+        raise ValueError(f"n_test = subseq_base * subseq_ratio^(test_m - 1) = {n_test:g} "
+                         f"exceeds {N_TEST_MAX:g}")
+    return n_m, n_test
 
 
 def _extras(cfg: ExperimentConfig) -> dict:
@@ -468,8 +489,7 @@ def run_negative_bvm(cfg: ExperimentConfig) -> Report:
     """
     ex = _extras(cfg)
     beta, test_m = ex["beta"], ex["test_m"]
-    n_m = ex["subseq_base"] * ex["subseq_ratio"] ** np.arange(0, N_M_LEN)
-    n_test = float(n_m[test_m - 1])
+    n_m, n_test = _subsequence(ex)
     j_max = max(int(math.floor(math.log2(n_test))), seqmodel.default_wavelet_truncation(n_test) - 3)
     basis = BasisSpec(seqmodel.HAAR_WAVELET, j_max)
     f0 = seqmodel.holder_spike_signal(beta, ex["R"], ex["r"], n_m, basis)
@@ -559,7 +579,7 @@ def run_dirichlet_demo(cfg: ExperimentConfig) -> Report:
             coefs = dirichlethist.haar_coefficients(heights, L)
             mean_coefs = dirichlethist.haar_coefficients(dpost.mean_heights(), L)
             radius = credsets.calibrate_radius(coefs, mean_coefs, ms, gamma, basis)
-            covered += float(seqmodel.norm(truth.coeffs - mean_coefs, ms, basis)) <= radius
+            covered += float(seqmodel.norm(truth.coeffs, ms, basis, center=mean_coefs)) <= radius
             if not env_done and cfg.out_dir:
                 _emit_dirichlet_envelopes(cfg, n, grid, basis, coefs, mean_coefs,
                                           ms, radius, gamma)
@@ -576,7 +596,7 @@ def _emit_dirichlet_envelopes(cfg, n, grid, basis, coefs, mean_coefs, ms,
                               radius, gamma):
     """Retained-draw envelope, sup-norm band, mean and truth on a plot grid."""
     vals = seqmodel.evaluate_function(coefs, grid, basis)
-    keep = seqmodel.norm(coefs - mean_coefs, ms, basis) <= radius
+    keep = seqmodel.norm(coefs, ms, basis, center=mean_coefs) <= radius
     lo = vals[keep].min(axis=0)
     hi = vals[keep].max(axis=0)
     mean_vals = seqmodel.evaluate_function(mean_coefs, grid, basis)

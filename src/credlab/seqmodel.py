@@ -214,11 +214,24 @@ def sobolev_log_weights(size: int, s: float, delta: float) -> np.ndarray:
     return k ** (2 * s) * np.maximum(np.log(k), 1.0) ** (-2 * delta)
 
 
-def norm(x, spec: NormSpec, basis: Optional[BasisSpec] = None) -> float:
-    """Evaluate ``spec`` on a SignalCoefficients or a raw coefficient array.
+# Values of x per block of rows in ``norm``, so its temporaries stay a few MB.
+NORM_BLOCK_VALUES = 1 << 18
+
+
+def norm(x, spec: NormSpec, basis: Optional[BasisSpec] = None, center=None):
+    """Evaluate ``spec`` on ``x - center`` (``x`` when ``center`` is None),
+    for a SignalCoefficients or a raw coefficient array.
 
     ``basis`` is required for the wavelet norms when ``x`` is a bare array.
-    Values computed for a 2-d array are per-row.
+    Values computed for a 2-d array are per-row.  Its rows are taken in
+    blocks of a multiple of 8 rows and about NORM_BLOCK_VALUES values, so no
+    temporary as large as ``x`` is built.  Every norm but sobolev_log
+    reduces each row on its own, so the blocks cannot change a value.
+    sobolev_log goes through BLAS gemv, whose value for a row depends on
+    which of its 4-, 2- or 1-row kernels takes the row: with one or two BLAS
+    threads and a row count that is a multiple of 8, the blocks and the whole
+    array give every row the same 4-row kernel; otherwise a value may differ
+    in the last bit.
     """
     if isinstance(x, SignalCoefficients):
         basis = x.basis
@@ -228,22 +241,39 @@ def norm(x, spec: NormSpec, basis: Optional[BasisSpec] = None) -> float:
     size = arr.shape[-1]
 
     if spec.kind == "l2":
-        return np.sqrt(np.sum(arr * arr, axis=-1))
-    if spec.kind == "sobolev_log":
+        def block_norm(a):
+            return np.sqrt(np.sum(a * a, axis=-1))
+    elif spec.kind == "sobolev_log":
         if basis is not None and basis.is_wavelet:
             raise ValueError("sobolev_log norms apply to Fourier sine coefficients")
         w = sobolev_log_weights(size, spec.s, spec.delta)
-        return np.sqrt((arr * arr) @ w)
-    if spec.kind == "multiscale":
+
+        def block_norm(a):
+            return np.sqrt((a * a) @ w)
+    elif spec.kind == "multiscale":
         if basis is None or not basis.is_wavelet:
             raise ValueError("multiscale norm requires a wavelet basis")
         w = spec.weights.per_position(basis)
-        return np.max(np.abs(arr) / w, axis=-1)
-    if spec.kind == "sup":
+
+        def block_norm(a):
+            return np.max(np.abs(a) / w, axis=-1)
+    elif spec.kind == "sup":
         if basis is None or not basis.is_wavelet:
             raise ValueError("sup norm requires a wavelet basis")
-        return np.max(np.abs(haar_cell_values(arr, basis)), axis=-1)
-    raise ValueError(f"unknown norm kind {spec.kind!r}")
+
+        def block_norm(a):
+            return np.max(np.abs(haar_cell_values(a, basis)), axis=-1)
+    else:
+        raise ValueError(f"unknown norm kind {spec.kind!r}")
+
+    if arr.ndim < 2:
+        return block_norm(arr if center is None else arr - center)
+    out = np.empty(arr.shape[0])
+    step = 8 * max(1, NORM_BLOCK_VALUES // (8 * size))
+    for start in range(0, arr.shape[0], step):
+        block = arr[start:start + step]
+        out[start:start + step] = block_norm(block if center is None else block - center)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,67 @@ def test_diameter_triangle_bound_for_band():
     assert diam <= 2 * float(np.max(dists)) + 1e-9
 
 
+def pairwise_max_type_diameter(cs, draws, norm_spec):
+    """The quadratic scan the linear one replaced, kept as its reference."""
+    members = draws[cs.membership(draws)]
+    if members.shape[0] > 200:
+        rng = np.random.default_rng(0)
+        members = members[rng.choice(members.shape[0], 200, replace=False)]
+    if norm_spec.kind == "sup":
+        feats = sm.haar_cell_values(members, cs.basis)
+    else:
+        feats = members / norm_spec.weights.per_position(cs.basis)
+    best = 0.0
+    for i in range(feats.shape[0] - 1):
+        best = max(best, float(np.max(np.abs(feats[i + 1:] - feats[i]))))
+    return best
+
+
+def test_max_type_diameter_equals_pairwise_scan():
+    obs, fitted, draws = band_setup(M=600)
+    b = obs.basis
+    w = WeightSequence.power_law(0.5, b.max_index)
+    band = build_set(CredibleSetSpec(cset.MULTISCALE_BAND, 0.05, weights=w), draws, fitted)
+    # every draw is a member of an infinite sup ball around 0
+    everything = cset.CalibratedCredibleSet(CredibleSetSpec(cset.SUP_BALL, 0.05), b,
+                                            np.zeros(b.size), math.inf, NormSpec.sup())
+    rng = np.random.default_rng(4)
+    row = rng.standard_normal(b.size)
+    negative = -1e-3 - 1e-3 * rng.random((40, b.size))
+    negative[:, 0] = -1.0 - rng.random(40)  # every Haar cell value is negative
+    cases = [
+        (band, draws),
+        (everything, rng.standard_normal((2, b.size))),
+        (everything, np.tile(row, (30, 1))),
+        (everything, rng.integers(-2, 3, (50, b.size)).astype(float)),  # ties
+        (everything, negative),
+        # magnitudes from 1e-9 to 1e9 exercise the rounding of the differences
+        (everything, rng.standard_normal((60, b.size)) * 10.0 ** rng.uniform(-9, 9, b.size)),
+    ]
+    for spec in (NormSpec.sup(), NormSpec.multiscale(w)):
+        feats = sm.haar_cell_values(negative, b) if spec.kind == "sup" else negative
+        assert np.all(feats < 0)
+        for cs, x in cases:
+            assert diameter_estimate(cs, x, spec) == pairwise_max_type_diameter(cs, x, spec)
+        assert diameter_estimate(everything, np.tile(row, (30, 1)), spec) == 0.0
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_band_diameter_within_its_bracket(seed):
+    # Two members lie within 2 sigma of each other in sup norm through the
+    # band, and within 2R of each other in M(w), which bounds the sup norm of
+    # their difference by 2R (w_0 + sum_l w_l 2^(l/2)).
+    obs, fitted, draws = band_setup(seed=seed, M=400)
+    w = WeightSequence.power_law(0.5, obs.basis.max_index)
+    levels = np.arange(obs.basis.max_index + 1)
+    for cs in build_set(CredibleSetSpec(cset.MULTISCALE_BAND, 0.05, weights=w), draws,
+                        fitted, gammas=(0.05, 0.2)):
+        scale = w.values[0] + float(np.sum(w.values * 2.0 ** (levels / 2.0)))
+        bracket = min(2.0 * cs.band.sigma, 2.0 * cs.radius * scale)
+        # slack for the rounding of the membership distances and of the scan
+        assert diameter_estimate(cs, draws, NormSpec.sup()) <= bracket * (1 + 1e-12)
+
+
 def test_pointwise_band_degenerate_and_dominated():
     n = 500.0
     b = BasisSpec(sm.HAAR_WAVELET, sm.default_wavelet_truncation(n))

@@ -7,6 +7,7 @@ import math
 import os
 import string
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -452,6 +453,13 @@ def test_cli_config_keys_parse_once(tmp_path):
     ("neg-bvm", "subseq_ratio = inf\n", "subseq_ratio = 'inf' is out of range"),
     ("neg-bvm", "tau = 0.5\n", "tau must be finite and exceed 1/2"),
     ("neg-bvm", "tau = x\n", "cannot parse tau = 'x'"),
+    # n_test = 1e4 * 10^(test_m - 1) is at most N_TEST_MAX = 1e6; test_m = 3
+    # reaches it (VALID_VALUES), and test_m = 24 would need 2^90 coefficients
+    ("neg-bvm", "test_m = 4\n", "n_test = subseq_base * subseq_ratio^(test_m - 1) = 1e+07 "
+                               "exceeds 1e+06"),
+    ("neg-bvm", "test_m = 24\n", "= 1e+27 exceeds 1e+06"),
+    ("neg-bvm", "subseq_ratio = 1e300\n", "the sample sizes n_m, m = 1..24, must be finite"),
+    ("neg-bvm", "subseq_ratio = 1e20\ntest_m = 1\n", "must be finite"),
     ("dirichlet", "weights_eps = nan\n", "weights_eps finite and positive"),
     ("dirichlet", "grid_points = 1.5\n", "cannot parse grid_points = '1.5'"),
     ("coverage", "variant = Nope\n", "variant = 'Nope' is out of range"),
@@ -461,9 +469,11 @@ def test_cli_bad_config_values_exit_2(tmp_path, capsys, command, lines, message)
     conf = tmp_path / "run.cfg"
     conf.write_text(lines)
     out = tmp_path / "out"
-    assert cli.main([command, "--config", str(conf), "--out", str(out)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would raise
+        assert cli.main([command, "--config", str(conf), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and message in err
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -534,6 +544,8 @@ def test_any_config_line_is_rejected_or_typed_and_in_range(command, key, value):
         assert parse is not float or math.isfinite(value)
     if "test_m" in cfg.extras:
         assert 1 <= cfg.extras["test_m"] <= hz.N_M_LEN
+    if command == "neg-bvm":
+        assert hz._subsequence(hz._extras(cfg))[1] <= hz.N_TEST_MAX
 
 
 def test_cli_check_failure_exits_3(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,55 @@ def test_multiscale_never_exceeds_l2(seed):
     x = np.random.default_rng(seed).standard_normal(b.size)
     w = WeightSequence.power_law(0.1, b.max_index)
     assert float(sm.norm(x, NormSpec.multiscale(w), b)) <= float(sm.norm(x, NormSpec.l2())) + 1e-12
+
+
+NORM_CASES = [
+    (NormSpec.l2(), sm.FOURIER_SINE),
+    (NormSpec.sobolev_log(1.3, 0.0), sm.FOURIER_SINE),
+    (NormSpec.h_delta(2.1), sm.FOURIER_SINE),
+    (NormSpec.multiscale(WeightSequence.power_law(0.5, 13)), sm.HAAR_WAVELET),
+    (NormSpec.sup(), sm.HAAR_WAVELET),
+]
+NORM_IDS = ["l2", "sobolev_log", "h_delta", "multiscale", "sup"]
+
+
+@pytest.mark.parametrize("spec, kind", NORM_CASES, ids=NORM_IDS)
+def test_blocked_norm_with_center_equals_norm_of_difference(spec, kind):
+    # K = 2^14 is the benchmark width, where a block holds 16 rows.  Row
+    # counts: under one block, one block, and 2.5 blocks (a multiple of 8, on
+    # which BLAS gemv gives sobolev_log rows the same kernels either way).
+    b = BasisSpec(kind, 2 ** 14 if kind == sm.FOURIER_SINE else 13)
+    step = sm.NORM_BLOCK_VALUES // b.size
+    rng = np.random.default_rng(11)
+    c = rng.standard_normal(b.size)
+    for rows in (3, step, 2 * step + 8):
+        X = rng.standard_normal((rows, b.size)) * 0.1 + c
+        got = sm.norm(X, spec, b, center=c)
+        assert got.shape == (rows,)
+        assert np.array_equal(got, sm.norm(X - c, spec, b))
+    x = X[0]
+    assert sm.norm(x, spec, b, center=c) == sm.norm(x - c, spec, b)
+    # Other row counts: the per-row norms are exact, gemv may move the last bit
+    X = rng.standard_normal((2 * step + 5, b.size)) * 0.1 + c
+    got, want = sm.norm(X, spec, b, center=c), sm.norm(X - c, spec, b)
+    if spec.kind == "sobolev_log":
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
+    else:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("spec, kind", NORM_CASES, ids=NORM_IDS)
+def test_blocked_norm_builds_no_draw_sized_temporary(spec, kind):
+    b = BasisSpec(kind, 2 ** 14 if kind == sm.FOURIER_SINE else 13)
+    X = np.zeros((2000, b.size))
+    c = np.ones(b.size)
+    tracemalloc.start()
+    try:
+        sm.norm(X, spec, b, center=c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes / 20
 
 
 def test_sobolev_norm_rejects_wavelet_basis():
