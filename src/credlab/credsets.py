@@ -347,14 +347,14 @@ def build_set(spec: CredibleSetSpec, draws, fitted: FittedPosterior, gammas=None
 def diameter_estimate(cs: CalibratedCredibleSet, draws, norm_spec: NormSpec,
                       max_members: int = 500, seed: int = 0) -> float:
     """Maximum pairwise distance among member draws, a lower bound on the
-    set diameter.  The members are first subsampled to ``max_members`` (200
-    for the max-type norms) with ``seed``; the subsample defines the
-    estimator.
+    set diameter, over a subsample of ``max_members`` members (200 for the
+    max-type norms) drawn with ``seed``.
 
     The l2 and Sobolev scans form a Gram matrix, quadratic in the members.
-    The max-type scan is linear: after a per-row transform a pairwise
-    distance is max_k |a_ik - a_jk|, and rounded subtraction is monotone in
-    each argument and odd, so the largest rounded difference in a column is
+    The max-type scan is linear, so there the subsample bounds no cost but
+    defines the estimator: after a per-row transform a pairwise distance is
+    max_k |a_ik - a_jk|, and rounded subtraction is monotone in each
+    argument and odd, so the largest rounded difference in a column is
     exactly fl(column max - column min).
     """
     arr = np.asarray(draws)
