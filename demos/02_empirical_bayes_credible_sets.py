@@ -20,6 +20,12 @@ from credlab import seqmodel as sm
 OUT = os.path.join(os.path.dirname(__file__), "output", "fourier")
 
 
+def retained(cs, draws, gamma):
+    """Members among ``draws`` of the set ``cs`` calibrated on them."""
+    dist = cset.distance_rows(draws, cs.measures, cs.basis)
+    return cs.membership(dist, cset.calibrate_radius(dist[0], [gamma]))[0]
+
+
 def envelope(draw_matrix, keep, grid, basis):
     vals = sm.evaluate_function(draw_matrix[keep], grid, basis)
     return vals.min(axis=0), vals.max(axis=0)
@@ -34,12 +40,9 @@ def main():
         obs = sm.observe(f0, n, seed=426)
         fitted = cset.fit(obs, "eb")
         draws = fitted.sample(2000, seed=415).draws
-        smoothed = cset.build_set(cset.CredibleSetSpec(cset.H_DELTA_EB, 0.05),
-                                  draws, fitted)
-        l2ball = cset.build_set(cset.CredibleSetSpec(cset.L2_BALL, 0.05),
-                                draws, fitted)
-        keep_s = smoothed.membership(draws)
-        keep_l = l2ball.membership(draws)
+        keep_s, keep_l = (retained(cset.build_set(cset.CredibleSetSpec(variant), fitted),
+                                   draws, 0.05)
+                          for variant in (cset.H_DELTA_EB, cset.L2_BALL))
         lo_s, hi_s = envelope(draws, keep_s, grid, basis)
         lo_l, hi_l = envelope(draws, keep_l, grid, basis)
         truth = sm.evaluate_function(f0, grid)

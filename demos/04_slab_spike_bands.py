@@ -33,15 +33,15 @@ def main():
         fitted = cset.fit(obs, "slabspike")
         draws = fitted.sample(2000, seed=910).draws
         w = sm.WeightSequence.power_law(0.5, basis.max_index)
-        ball = cset.build_set(cset.CredibleSetSpec(cset.MULTISCALE_BALL, 0.05,
-                                                   weights=w), draws, fitted)
-        keep = ball.membership(draws)
+        ball = cset.build_set(cset.CredibleSetSpec(cset.MULTISCALE_BALL, weights=w), fitted)
+        dist = cset.distance_rows(draws, ball.measures, basis)
+        keep = ball.membership(dist, cset.calibrate_radius(dist[0], [0.05]))[0]
         vals = sm.evaluate_function(draws, grid, basis)
         ms_lo, ms_hi = vals[keep].min(axis=0), vals[keep].max(axis=0)
         pw_lo, pw_hi = cset.pointwise_band(draws, basis, grid, 0.05)
         mean_vals = sm.evaluate_function(fitted.posterior_mean, grid, basis)
         sup_d = np.max(np.abs(vals - mean_vals), axis=1)
-        q = cset.order_statistic_radius(sup_d, 0.05)
+        q = cset.calibrate_radius(sup_d, [0.05])[0]
         truth = sm.TruncatedLaplace(0.5, 5.0).pdf(grid)
         path = os.path.join(OUT, f"bands_n{int(n)}.csv")
         with open(path, "w", newline="") as fh:

@@ -1,13 +1,18 @@
-"""The fitted posterior every credible set is built from, quantile
-calibration of credible radii and every credible-set geometry: plain balls
-in H(delta), l2, M(w) and sup norms, the smoothness-intersected variants and
-the two-stage multiscale band; pointwise bands for comparison.
+"""The fitted posterior every credible set is built from, every
+credible-set geometry (plain balls in H(delta), l2, M(w) and sup norms, the
+smoothness-intersected variants and the two-stage multiscale band), quantile
+calibration of credible radii from draw distances and membership decided
+from them; pointwise bands for comparison.
+
+A geometry reads only the fit.  Its radius reads only the primary distances
+of a calibration batch, and membership reads only distances, so a batch of
+draws is needed only through the distances of the geometry's measures.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -57,18 +62,15 @@ HB_SHIFT_C = 1.0
 
 @dataclass(frozen=True)
 class CredibleSetSpec:
-    """Declares geometry variant, significance, and centering rule."""
+    """Declares geometry variant and centering rule."""
 
     variant: str
-    gamma: float
     center_rule: str = CENTER_SHIFT
     weights: Optional[WeightSequence] = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown credible set variant {self.variant!r}")
-        if not 0 < self.gamma < 1:
-            raise ValueError("gamma must lie in (0,1)")
         if self.variant in (MULTISCALE_BALL, MULTISCALE_BAND) and self.weights is None:
             raise ValueError(f"{self.variant} requires a weight sequence")
 
@@ -98,6 +100,15 @@ class FittedPosterior:
             return gaussprior.sample_hierarchical(self.post, self.obs, M, seed)
         return gaussprior.sample(self.post, M, seed)
 
+    def blocks(self, M: int, seed: int):
+        """The rows of ``sample(M, seed)``, bit for bit, as consecutive
+        blocks of ``seqmodel.block_rows`` rows; only one block is held."""
+        if isinstance(self.post, SlabSpikePosterior):
+            return slabspike.sample_blocks(self.post, M, seed)
+        if isinstance(self.post, HyperPosterior):
+            return gaussprior.hierarchical_blocks(self.post, self.obs, M, seed)
+        return gaussprior.sample_blocks(self.post, M, seed)
+
 
 def fit(obs: NoisyObservation, prior: str,
         slab: SlabSpikeConfig = SlabSpikeConfig()) -> FittedPosterior:
@@ -125,18 +136,14 @@ def fit(obs: NoisyObservation, prior: str,
 
 
 @dataclass(frozen=True)
-class SecondConstraint:
+class Constraint:
+    """A bound on the distance from ``center`` in ``norm_spec``, beside the
+    primary ball: the smoothness constraint or the band."""
+
+    label: str
     norm_spec: NormSpec
     center: np.ndarray
-    radius: float
-    label: str
-
-
-@dataclass(frozen=True)
-class BandConstraint:
-    center: np.ndarray       # pi_med(Y) coefficients
-    sigma: float
-    support: np.ndarray      # boolean mask of selected coefficients
+    bound: float
 
 
 @dataclass(frozen=True)
@@ -148,86 +155,71 @@ class MembershipReport:
 
 @dataclass(frozen=True)
 class CalibratedCredibleSet:
-    spec: CredibleSetSpec
+    """The geometry of a credible set: its center, primary norm and
+    smoothness or band constraint, all read from the fit.  The primary
+    radius is not part of it: ``calibrate_radius`` reads it from a
+    calibration batch's primary distances, so one geometry serves every
+    level."""
+
     basis: BasisSpec
     center: np.ndarray
-    radius: float
     primary_norm: NormSpec
-    second: Optional[SecondConstraint] = None
-    band: Optional[BandConstraint] = None
+    constraint: Optional[Constraint] = None
 
-    # -- membership ---------------------------------------------------------
+    @property
+    def measures(self) -> list:
+        """The (norm, center) pairs whose distances decide membership,
+        primary first."""
+        out = [(self.primary_norm, self.center)]
+        if self.constraint is not None:
+            out.append((self.constraint.norm_spec, self.constraint.center))
+        return out
 
-    def primary_distance(self, f):
-        return norm(f, self.primary_norm, self.basis, center=self.center)
+    def membership(self, distances, radii) -> np.ndarray:
+        """Membership of draws from their distance rows, one per measure in
+        ``measures`` order (``distance_rows`` gives them for a draw matrix).
+        Row l of the result is membership in the set of primary radius
+        ``radii[l]``."""
+        ok = distances[0] <= np.asarray(radii)[:, None]
+        if self.constraint is not None:
+            ok &= distances[1] <= self.constraint.bound
+        return ok
 
-    def membership(self, draws, radii=None) -> np.ndarray:
-        """Vectorized membership for a draw matrix (rows are draws).
-
-        With ``radii`` the result has one row per primary radius, each used
-        in place of ``self.radius``: given the radii of the sets one
-        ``build_set`` call returns, the rows are their memberships, computed
-        from one distance vector per constraint.
-        """
-        arr = np.atleast_2d(np.asarray(draws, dtype=float))
-        d = self.primary_distance(arr)
-        ok = d <= self.radius if radii is None else d <= np.asarray(radii)[:, None]
-        if self.second is not None:
-            d2 = norm(arr, self.second.norm_spec, self.basis, center=self.second.center)
-            ok &= d2 <= self.second.radius
-        if self.band is not None:
-            dsup = norm(arr, NormSpec.sup(), self.basis, center=self.band.center)
-            ok &= dsup <= self.band.sigma
-        return ok if np.ndim(draws) > 1 or radii is not None else bool(ok[0])
-
-    def contains(self, f) -> MembershipReport:
+    def contains(self, f, radius: float) -> MembershipReport:
+        """Membership of one coefficient array in the set of primary radius
+        ``radius``, with its distances up to the first bound it breaks."""
         f = np.asarray(f, dtype=float)
+        bounds = [("primary", radius)]
+        if self.constraint is not None:
+            bounds.append((self.constraint.label, self.constraint.bound))
         distances = {}
-        d = float(self.primary_distance(f))
-        distances["primary"] = d
-        if d > self.radius:
-            return MembershipReport(False, "primary", distances)
-        if self.second is not None:
-            d2 = float(norm(f, self.second.norm_spec, self.basis, center=self.second.center))
-            distances[self.second.label] = d2
-            if d2 > self.second.radius:
-                return MembershipReport(False, self.second.label, distances)
-        if self.band is not None:
-            dsup = float(norm(f, NormSpec.sup(), self.basis, center=self.band.center))
-            distances["band"] = dsup
-            if dsup > self.band.sigma:
-                return MembershipReport(False, "band", distances)
+        for (spec, center), (label, bound) in zip(self.measures, bounds):
+            distances[label] = float(norm(f, spec, self.basis, center=center))
+            if distances[label] > bound:
+                return MembershipReport(False, label, distances)
         return MembershipReport(True, None, distances)
+
+
+def distance_rows(draws, measures, basis: BasisSpec) -> list:
+    """The distance row of the draw matrix ``draws`` for each (norm, center)
+    pair of ``measures``: one ``norm`` call per pair."""
+    return [norm(draws, spec, basis, center=center) for spec, center in measures]
 
 
 # ---------------------------------------------------------------------------
 # calibration
 # ---------------------------------------------------------------------------
 
-def order_statistic_radius(distances, gamma):
-    """The ceil((1-gamma) M)-th smallest of M distances (lower empirical
-    quantile convention).
-
-    For a sequence of levels ``gamma`` the result is a list of radii, one per
-    level, read from one sorted distance vector.
-    """
-    levels = tuple(gamma) if np.ndim(gamma) else (gamma,)
-    if not all(0 < g < 1 for g in levels):
-        raise ValueError("gamma must lie in (0,1)")
+def calibrate_radius(distances, gammas) -> list:
+    """The radius of each level in ``gammas``: the ceil((1-gamma) M)-th
+    smallest of the M draw distances (lower empirical quantile convention),
+    every level read from one sorted copy."""
     d = np.sort(distances)
-    radii = [float(d[math.ceil((1.0 - g) * d.size) - 1]) for g in levels]
-    return radii if np.ndim(gamma) else radii[0]
-
-
-def calibrate_radius(draws, center, norm_spec: NormSpec, gamma,
-                     basis: Optional[BasisSpec] = None):
-    """Radius as the order statistic of the draw-center distances in
-    ``norm_spec`` (``order_statistic_radius``), one per level for a
-    sequence of levels."""
-    arr = np.asarray(draws)
-    if arr.shape[0] < 20:
+    if d.size < 20:
         raise ValueError("need at least 20 draws to calibrate a radius")
-    return order_statistic_radius(norm(arr, norm_spec, basis, center=center), gamma)
+    if not all(0 < g < 1 for g in gammas):
+        raise ValueError("gamma must lie in (0,1)")
+    return [float(d[math.ceil((1.0 - g) * d.size) - 1]) for g in gammas]
 
 
 def sigma_band_width(support: np.ndarray, basis: BasisSpec, n: float, vn: float,
@@ -263,22 +255,16 @@ def pointwise_band(draws, basis: BasisSpec, grid, gamma: float):
     return lo, hi
 
 
-def build_set(spec: CredibleSetSpec, draws, fitted: FittedPosterior, gammas=None):
-    """Assemble the declared geometry from the draw matrix ``draws`` of
-    ``fitted`` at level ``spec.gamma``, or with ``gammas`` a list of sets,
-    one per level.
+def build_set(spec: CredibleSetSpec, fitted: FittedPosterior) -> CalibratedCredibleSet:
+    """The declared geometry for ``fitted``.
 
-    The sets of one call share their center and their smoothness or band
-    constraint, none of which depends on gamma; their primary radii come from
-    one sorted distance vector.  The primary radius is always calibrated
-    before intersecting, so a plain ball and its intersected variant share
-    the same primary radius.
+    The primary radius is calibrated apart from the constraint, so a plain
+    ball and its intersected variant share the same primary radius.
     """
     obs = fitted.obs
     basis = obs.basis
     n = obs.n
     logn = math.log(n)
-    levels = tuple(gammas) if gammas is not None else (spec.gamma,)
 
     def center_for(rule):
         if rule == CENTER_SHIFT:
@@ -291,41 +277,36 @@ def build_set(spec: CredibleSetSpec, draws, fitted: FittedPosterior, gammas=None
             return fitted.efficient_center
         raise ValueError(f"unknown center rule {rule!r}")
 
-    def calibrated(center, pnorm, **constraints):
-        specs = [replace(spec, gamma=g) for g in levels]
-        radii = calibrate_radius(draws, center, pnorm, levels, basis)
-        sets = [CalibratedCredibleSet(s, basis, center, r, pnorm, **constraints)
-                for s, r in zip(specs, radii)]
-        return sets if gammas is not None else sets[0]
+    def geometry(center, pnorm, constraint=None):
+        return CalibratedCredibleSet(basis, center, pnorm, constraint)
 
     variant = spec.variant
     if variant == L2_BALL:
         center = center_for(spec.center_rule if spec.center_rule != CENTER_SHIFT
                             else CENTER_POSTERIOR_MEAN)
-        return calibrated(center, NormSpec.l2())
+        return geometry(center, NormSpec.l2())
 
     if variant in (H_DELTA_BALL, H_DELTA_EB, H_DELTA_HB):
         center = center_for(spec.center_rule)
-        second = None
+        smooth = None
         if variant == H_DELTA_EB:
             if fitted.alpha_hat is None:
                 raise ValueError("HDeltaIntersectEB needs alpha_hat, which a "
                                  "slab-and-spike fit does not have")
             eps_n = min(SMOOTH_EPS_NUM / logn, fitted.alpha_hat / 2.0)
-            second = SecondConstraint(
-                NormSpec.sobolev_log(fitted.alpha_hat - eps_n, 0.0),
-                fitted.posterior_mean, SMOOTH_C * math.sqrt(logn), "smoothness")
+            smooth = Constraint("smoothness",
+                                NormSpec.sobolev_log(fitted.alpha_hat - eps_n, 0.0),
+                                fitted.posterior_mean, SMOOTH_C * math.sqrt(logn))
         elif variant == H_DELTA_HB:
             if not isinstance(fitted.post, HyperPosterior):
                 raise ValueError("HDeltaIntersectHB needs a hierarchical Bayes fit")
             beta_hat = fitted.alpha_hat - (HB_SHIFT_C + 1.0) / logn
-            second = SecondConstraint(NormSpec.sobolev_log(beta_hat, 0.0),
-                                      fitted.posterior_mean,
-                                      math.log(logn) * math.sqrt(logn), "smoothness")
-        return calibrated(center, NormSpec.h_delta(DEFAULT_DELTA), second=second)
+            smooth = Constraint("smoothness", NormSpec.sobolev_log(beta_hat, 0.0),
+                                fitted.posterior_mean, math.log(logn) * math.sqrt(logn))
+        return geometry(center, NormSpec.h_delta(DEFAULT_DELTA), smooth)
 
     if variant == MULTISCALE_BALL:
-        return calibrated(center_for(spec.center_rule), NormSpec.multiscale(spec.weights))
+        return geometry(center_for(spec.center_rule), NormSpec.multiscale(spec.weights))
 
     if variant == MULTISCALE_BAND:
         if fitted.threshold is None:
@@ -335,20 +316,21 @@ def build_set(spec: CredibleSetSpec, draws, fitted: FittedPosterior, gammas=None
         jn = int(math.floor(math.log2(n)))
         vn = logn ** VN_POWER
         sigma = sigma_band_width(est.support, basis, n, vn, j_cap=jn)
-        return calibrated(center_for(spec.center_rule), NormSpec.multiscale(spec.weights),
-                          band=BandConstraint(pi_med, sigma, est.support))
+        return geometry(center_for(spec.center_rule), NormSpec.multiscale(spec.weights),
+                        Constraint("band", NormSpec.sup(), pi_med, sigma))
 
     if variant == SUP_BALL:
-        return calibrated(center_for(spec.center_rule), NormSpec.sup())
+        return geometry(center_for(spec.center_rule), NormSpec.sup())
 
     raise ValueError(f"unhandled variant {variant!r}")
 
 
-def diameter_estimate(cs: CalibratedCredibleSet, draws, norm_spec: NormSpec,
+def diameter_estimate(members, norm_spec: NormSpec, basis: Optional[BasisSpec] = None,
                       max_members: int = 500, seed: int = 0) -> float:
-    """Maximum pairwise distance among member draws, a lower bound on the
-    set diameter, over a subsample of ``max_members`` members (200 for the
-    max-type norms) drawn with ``seed``.
+    """Maximum pairwise distance among the member draws ``members``, a lower
+    bound on the set diameter, over a subsample of ``max_members`` members
+    (200 for the max-type norms) drawn with ``seed``.  ``basis`` is required
+    for the max-type norms.
 
     The l2 and Sobolev scans form a Gram matrix, quadratic in the members.
     The max-type scan is linear, so there the subsample bounds no cost but
@@ -357,8 +339,7 @@ def diameter_estimate(cs: CalibratedCredibleSet, draws, norm_spec: NormSpec,
     argument and odd, so the largest rounded difference in a column is
     exactly fl(column max - column min).
     """
-    arr = np.asarray(draws)
-    members = arr[cs.membership(arr)]
+    members = np.asarray(members)
     if members.shape[0] < 2:
         raise ValueError("need at least two member draws")
     if norm_spec.kind in ("multiscale", "sup"):
@@ -379,7 +360,7 @@ def diameter_estimate(cs: CalibratedCredibleSet, draws, norm_spec: NormSpec,
         return float(math.sqrt(max(d2.max(), 0.0)))
 
     if norm_spec.kind == "sup":
-        feats = haar_cell_values(members, cs.basis)
+        feats = haar_cell_values(members, basis)
     else:
-        feats = members / norm_spec.weights.per_position(cs.basis)
+        feats = members / norm_spec.weights.per_position(basis)
     return float(np.max(feats.max(axis=0) - feats.min(axis=0)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .seqmodel import NoisyObservation
+from .seqmodel import NoisyObservation, block_rows
 
 ALPHA_MIN = 0.01
 _EXP_CLIP = 700.0  # exp overflow guard
@@ -152,7 +152,11 @@ class PosteriorDrawSet:
     draws: np.ndarray
 
 
-def sample(post: AlphaPosterior, M: int, seed: int) -> PosteriorDrawSet:
+def sample(post: AlphaPosterior, M: int, seed) -> PosteriorDrawSet:
+    """M independent draws of the posterior.  ``seed`` is an int or a
+    numpy Generator, which is used as is: consecutive calls on one Generator
+    continue its stream, so their draws stacked equal the draws of one call
+    for all rows."""
     if M < 1:
         raise ValueError("need at least one draw")
     rng = np.random.default_rng(seed)
@@ -160,6 +164,17 @@ def sample(post: AlphaPosterior, M: int, seed: int) -> PosteriorDrawSet:
     draws *= np.sqrt(post.variances)
     draws += post.means
     return PosteriorDrawSet(draws)
+
+
+def sample_blocks(post: AlphaPosterior, M: int, seed: int):
+    """The rows of ``sample(post, M, seed)`` as consecutive blocks of
+    ``block_rows`` rows, each drawn by ``sample`` from one Generator."""
+    if M < 1:
+        raise ValueError("need at least one draw")
+    rng = np.random.default_rng(seed)
+    step = block_rows(post.means.size)
+    for start in range(0, M, step):
+        yield sample(post, min(step, M - start), rng).draws
 
 
 # ---------------------------------------------------------------------------
@@ -228,24 +243,49 @@ def hierarchical_posterior_mean(hp: HyperPosterior, obs: NoisyObservation) -> np
     return out
 
 
-def sample_hierarchical(hp: HyperPosterior, obs: NoisyObservation, M: int,
-                        seed: int) -> PosteriorDrawSet:
-    """Draw alpha by inverse CDF on the grid weights, then f | alpha, y."""
+def hierarchical_blocks(hp: HyperPosterior, obs: NoisyObservation, M: int, seed: int):
+    """The rows of ``sample_hierarchical(hp, obs, M, seed)`` as consecutive
+    blocks of ``block_rows`` rows.
+
+    The grid index of alpha of all M draws comes first, by inverse CDF on
+    the grid weights; then each block's standard normals are drawn and
+    turned into f | alpha, y.  The law of each index is computed once and
+    kept for the blocks after it.
+    """
     if M < 1:
         raise ValueError("need at least one draw")
     rng = np.random.default_rng(seed)
     cum = np.cumsum(hp.weights)
     cum[-1] = 1.0
     idx = np.searchsorted(cum, rng.uniform(size=M))
-    zeta = rng.standard_normal((M, obs.y.size))
-    draws = np.empty_like(zeta)
-    k_log = _k_log(obs.y.size)
-    for i in np.unique(idx):
-        rows = idx == i
-        pw = _power(k_log, hp.grid[i])
-        mean = obs.n * obs.y / (pw + obs.n)
-        sd = np.sqrt(1.0 / (pw + obs.n))
-        draws[rows] = mean + sd * zeta[rows]
+    K = obs.y.size
+    k_log = _k_log(K)
+    laws = {}
+    step = block_rows(K)
+    for start in range(0, M, step):
+        zeta = rng.standard_normal((min(step, M - start), K))
+        block_idx = idx[start:start + step]
+        for i in np.unique(block_idx):
+            if i not in laws:
+                pw = _power(k_log, hp.grid[i])
+                laws[i] = (obs.n * obs.y / (pw + obs.n), np.sqrt(1.0 / (pw + obs.n)))
+            mean, sd = laws[i]
+            rows = block_idx == i
+            zeta[rows] = mean + sd * zeta[rows]
+        yield zeta
+
+
+def sample_hierarchical(hp: HyperPosterior, obs: NoisyObservation, M: int,
+                        seed: int) -> PosteriorDrawSet:
+    """Draw alpha by inverse CDF on the grid weights, then f | alpha, y: the
+    blocks of ``hierarchical_blocks`` stacked."""
+    if M < 1:
+        raise ValueError("need at least one draw")
+    draws = np.empty((M, obs.y.size))
+    start = 0
+    for block in hierarchical_blocks(hp, obs, M, seed):
+        draws[start:start + len(block)] = block
+        start += len(block)
     return PosteriorDrawSet(draws)
 
 

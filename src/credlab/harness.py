@@ -272,7 +272,8 @@ def run_coverage(cfg: ExperimentConfig) -> Report:
 
     Per replication: fresh observation, prior fit and one draw batch, on
     which the set is calibrated at every level, then membership of the true
-    signal in each.  Gaussian-lane variants default to the
+    signal in each.  The diameters read the batch's member draws, so the
+    batch is drawn as a matrix.  Gaussian-lane variants default to the
     smoothness-intersected H(delta) set; the slab-spike prior builds the
     two-stage multiscale band.
     """
@@ -285,10 +286,9 @@ def run_coverage(cfg: ExperimentConfig) -> Report:
         f0 = make_signal(cfg, n)
         if band:
             w = WeightSequence.power_law(cfg.weights_eps, f0.basis.max_index)
-            spec = CredibleSetSpec(variant or credsets.MULTISCALE_BAND, cfg.gamma_list[0],
-                                   weights=w)
+            spec = CredibleSetSpec(variant or credsets.MULTISCALE_BAND, weights=w)
         else:
-            spec = CredibleSetSpec(variant or credsets.H_DELTA_EB, cfg.gamma_list[0])
+            spec = CredibleSetSpec(variant or credsets.H_DELTA_EB)
         levels = range(len(cfg.gamma_list))
         hits = [0 for _ in levels]
         radii, diams = [[] for _ in levels], [[] for _ in levels]
@@ -299,13 +299,18 @@ def run_coverage(cfg: ExperimentConfig) -> Report:
             fitted = credsets.fit(obs, cfg.prior, _slab(cfg))
             if not band:
                 alphas.append(fitted.alpha_hat)
+            cset = build_set(spec, fitted)
             draws = fitted.sample(cfg.draws, s_cal).draws
-            for i, cset in enumerate(build_set(spec, draws, fitted, cfg.gamma_list)):
-                radii[i].append(cset.radius)
-                hits[i] += cset.contains(f0.coeffs).member
-                if rep < diam_reps:
+            measured = cset.measures if rep < diam_reps else cset.measures[:1]
+            dist = credsets.distance_rows(draws, measured, f0.basis)
+            level_radii = credsets.calibrate_radius(dist[0], cfg.gamma_list)
+            for i, radius in enumerate(level_radii):
+                radii[i].append(radius)
+                hits[i] += cset.contains(f0.coeffs, radius).member
+            if rep < diam_reps:
+                for i, inside in enumerate(cset.membership(dist, level_radii)):
                     try:
-                        diams[i].append(diameter_estimate(cset, draws, dn))
+                        diams[i].append(diameter_estimate(draws[inside], dn, f0.basis))
                     except ValueError:   # fewer than two member draws
                         pass
         for i, gamma in enumerate(cfg.gamma_list):
@@ -333,21 +338,18 @@ def run_oversmoothing_demo(cfg: ExperimentConfig) -> Report:
 
 def _l2_sets(cfg: ExperimentConfig, obs):
     """Gaussian lane: the smoothed H(delta) set (A) and the l2 ball (B)."""
-    gamma = cfg.gamma_list[0]
     return credsets.fit(obs, cfg.prior, _slab(cfg)), (
-        CredibleSetSpec(credsets.H_DELTA_EB, gamma),
-        CredibleSetSpec(credsets.L2_BALL, gamma))
+        CredibleSetSpec(credsets.H_DELTA_EB), CredibleSetSpec(credsets.L2_BALL))
 
 
 def _band_sets(cfg: ExperimentConfig, obs):
     """Slab-and-spike lane: the two-stage band (A) against the sup-norm ball
     (B), both centered at the efficient estimator."""
     w = WeightSequence.power_law(cfg.weights_eps, obs.basis.max_index)
-    gamma = cfg.gamma_list[0]
     return credsets.fit(obs, "slabspike", _slab(cfg)), (
-        CredibleSetSpec(credsets.MULTISCALE_BAND, gamma, weights=w,
+        CredibleSetSpec(credsets.MULTISCALE_BAND, weights=w,
                         center_rule=credsets.CENTER_EFFICIENT),
-        CredibleSetSpec(credsets.SUP_BALL, gamma, center_rule=credsets.CENTER_EFFICIENT))
+        CredibleSetSpec(credsets.SUP_BALL, center_rule=credsets.CENTER_EFFICIENT))
 
 
 def _joint_masses(cfg: ExperimentConfig, n: float, fit) -> dict:
@@ -356,23 +358,45 @@ def _joint_masses(cfg: ExperimentConfig, n: float, fit) -> dict:
     ``fit(cfg, obs)`` returns (fitted posterior, (spec_A, spec_B)).  Both
     sets are calibrated at every gamma on one batch and their memberships
     counted on a fresh batch of the same size, so the order-statistic bias of
-    same-batch evaluation never enters.
+    same-batch evaluation never enters.  Each batch is reduced block by block
+    to the distances it feeds (``_stream_distances``), so no M x K matrix is
+    held.
     """
     f0 = make_signal(cfg, n)
     masses = {g: [] for g in cfg.gamma_list}
-    for rep in range(cfg.reps):
-        s_obs, s_cal, s_fresh = rep_seeds(cfg.seed, rep, 3)
-        obs = observe(f0, n, s_obs)
-        fitted, specs = fit(cfg, obs)
-        calib = fitted.sample(cfg.draws, s_cal).draws
-        families = [build_set(spec, calib, fitted, cfg.gamma_list) for spec in specs]
-        del calib
-        fresh = fitted.sample(cfg.draws, s_fresh).draws
-        A, B = (sets[0].membership(fresh, [s.radius for s in sets]) for sets in families)
-        for i, g in enumerate(cfg.gamma_list):
-            masses[g].append((float(A[i].mean()), float(B[i].mean()),
-                              float((A[i] & B[i]).mean())))
+    # The two batches draw from independent generators, and numpy draws and
+    # reduces a block without holding the GIL, so they run side by side.
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for rep in range(cfg.reps):
+            s_obs, s_cal, s_fresh = rep_seeds(cfg.seed, rep, 3)
+            obs = observe(f0, n, s_obs)
+            fitted, specs = fit(cfg, obs)
+            sets = [build_set(spec, fitted) for spec in specs]
+            batches = ((s_cal, [cs.measures[0] for cs in sets]),
+                       (s_fresh, [m for cs in sets for m in cs.measures]))
+            futures = [pool.submit(_stream_distances, fitted, cfg.draws, seed, measures)
+                       for seed, measures in batches]
+            calib, fresh = (f.result() for f in futures)
+            per_set = np.split(fresh, np.cumsum([len(cs.measures) for cs in sets])[:-1])
+            A, B = (cs.membership(d, credsets.calibrate_radius(r, cfg.gamma_list))
+                    for cs, r, d in zip(sets, calib, per_set))
+            for i, g in enumerate(cfg.gamma_list):
+                masses[g].append((float(A[i].mean()), float(B[i].mean()),
+                                  float((A[i] & B[i]).mean())))
     return masses
+
+
+def _stream_distances(fitted, M: int, seed: int, measures) -> np.ndarray:
+    """One distance row per (norm, center) pair of ``measures`` for the M
+    draws ``fitted.sample(M, seed)`` returns, each block of draws reduced by
+    ``credsets.distance_rows`` and dropped."""
+    out = np.empty((len(measures), M))
+    start = 0
+    for block in fitted.blocks(M, seed):
+        out[:, start:start + len(block)] = credsets.distance_rows(block, measures,
+                                                                  fitted.obs.basis)
+        start += len(block)
+    return out
 
 
 def _joint_row(n, gamma, masses) -> tuple:
@@ -451,13 +475,16 @@ def run_radius_scaling(cfg: ExperimentConfig) -> Report:
             s_obs, s_cal = rep_seeds(cfg.seed, rep, 2)
             obs = observe(f0, n, s_obs)
             fixed_fit = credsets.fit(obs, cfg.prior)
-            fixed_set = build_set(CredibleSetSpec(credsets.L2_BALL, gamma),
-                                  fixed_fit.sample(cfg.draws, s_cal).draws, fixed_fit)
-            radii.append(fixed_set.radius)
+            ball = build_set(CredibleSetSpec(credsets.L2_BALL), fixed_fit)
+            dist = credsets.distance_rows(fixed_fit.sample(cfg.draws, s_cal).draws,
+                                          ball.measures, f0.basis)
+            radii += credsets.calibrate_radius(dist[0], [gamma])
             eb_fit = credsets.fit(obs, "eb")
+            eb_set = build_set(CredibleSetSpec(credsets.H_DELTA_EB), eb_fit)
             eb_draws = eb_fit.sample(cfg.draws, s_cal).draws
-            eb_set = build_set(CredibleSetSpec(credsets.H_DELTA_EB, gamma), eb_draws, eb_fit)
-            diams.append(diameter_estimate(eb_set, eb_draws, NormSpec.l2()))
+            dist = credsets.distance_rows(eb_draws, eb_set.measures, f0.basis)
+            inside = eb_set.membership(dist, credsets.calibrate_radius(dist[0], [gamma]))[0]
+            diams.append(diameter_estimate(eb_draws[inside], NormSpec.l2()))
         mean_radii.append(float(np.mean(radii)))
         mean_diams.append(float(np.mean(diams)))
         rows.append((n, gamma, mean_radii[-1], mean_diams[-1]))
@@ -578,11 +605,12 @@ def run_dirichlet_demo(cfg: ExperimentConfig) -> Report:
             heights = dirichlethist.sample_heights(dpost, cfg.draws, s_draws)
             coefs = dirichlethist.haar_coefficients(heights, L)
             mean_coefs = dirichlethist.haar_coefficients(dpost.mean_heights(), L)
-            radius = credsets.calibrate_radius(coefs, mean_coefs, ms, gamma, basis)
+            dist = seqmodel.norm(coefs, ms, basis, center=mean_coefs)
+            radius = credsets.calibrate_radius(dist, [gamma])[0]
             covered += float(seqmodel.norm(truth.coeffs, ms, basis, center=mean_coefs)) <= radius
             if not env_done and cfg.out_dir:
                 _emit_dirichlet_envelopes(cfg, n, grid, basis, coefs, mean_coefs,
-                                          ms, radius, gamma)
+                                          dist <= radius, gamma)
                 env_done = True
         p = covered / cfg.reps
         ci = 1.96 * math.sqrt(p * (1 - p) / cfg.reps)
@@ -592,16 +620,15 @@ def run_dirichlet_demo(cfg: ExperimentConfig) -> Report:
                   rows, _meta(cfg))
 
 
-def _emit_dirichlet_envelopes(cfg, n, grid, basis, coefs, mean_coefs, ms,
-                              radius, gamma):
-    """Retained-draw envelope, sup-norm band, mean and truth on a plot grid."""
+def _emit_dirichlet_envelopes(cfg, n, grid, basis, coefs, mean_coefs, keep, gamma):
+    """Envelope of the retained draws ``keep``, sup-norm band, mean and truth
+    on a plot grid."""
     vals = seqmodel.evaluate_function(coefs, grid, basis)
-    keep = seqmodel.norm(coefs, ms, basis, center=mean_coefs) <= radius
     lo = vals[keep].min(axis=0)
     hi = vals[keep].max(axis=0)
     mean_vals = seqmodel.evaluate_function(mean_coefs, grid, basis)
     sup_d = np.max(np.abs(vals - mean_vals), axis=1)
-    q = credsets.order_statistic_radius(sup_d, gamma)
+    q = credsets.calibrate_radius(sup_d, [gamma])[0]
     truth_vals = seqmodel.TruncatedLaplace(0.5, 5.0).pdf(grid)
     emit(Report("dirichlet_band", ("x", "lower", "upper", "mean", "truth"),
                 list(zip(grid, lo, hi, mean_vals, truth_vals)),

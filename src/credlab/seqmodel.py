@@ -218,15 +218,22 @@ def sobolev_log_weights(size: int, s: float, delta: float) -> np.ndarray:
 NORM_BLOCK_VALUES = 1 << 18
 
 
+def block_rows(size: int) -> int:
+    """Rows per block of an array of ``size`` columns: a multiple of 8 rows
+    and about NORM_BLOCK_VALUES values, so sobolev_log gives each row of a
+    block the same BLAS kernel as ``norm`` of the whole array (see ``norm``)."""
+    return 8 * max(1, NORM_BLOCK_VALUES // (8 * size))
+
+
 def norm(x, spec: NormSpec, basis: Optional[BasisSpec] = None, center=None):
     """Evaluate ``spec`` on ``x - center`` (``x`` when ``center`` is None),
     for a SignalCoefficients or a raw coefficient array.
 
     ``basis`` is required for the wavelet norms when ``x`` is a bare array.
     Values computed for a 2-d array are per-row.  Its rows are taken in
-    blocks of a multiple of 8 rows and about NORM_BLOCK_VALUES values, so no
-    temporary as large as ``x`` is built.  Every norm but sobolev_log
-    reduces each row on its own, so the blocks cannot change a value.
+    blocks of ``block_rows`` rows, so no temporary as large as ``x`` is
+    built.  Every norm but sobolev_log reduces each row on its own, so the
+    blocks cannot change a value.
     sobolev_log goes through BLAS gemv, whose value for a row depends on
     which of its 4-, 2- or 1-row kernels takes the row: with one or two BLAS
     threads and a row count that is a multiple of 8, the blocks and the whole
@@ -269,7 +276,7 @@ def norm(x, spec: NormSpec, basis: Optional[BasisSpec] = None, center=None):
     if arr.ndim < 2:
         return block_norm(arr if center is None else arr - center)
     out = np.empty(arr.shape[0])
-    step = 8 * max(1, NORM_BLOCK_VALUES // (8 * size))
+    step = block_rows(size)
     for start in range(0, arr.shape[0], step):
         block = arr[start:start + step]
         out[start:start + step] = block_norm(block if center is None else block - center)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .seqmodel import BasisSpec, NoisyObservation, wavelet_levels
+from .seqmodel import BasisSpec, NoisyObservation, block_rows, wavelet_levels
 from .gaussprior import PosteriorDrawSet
 
 
@@ -169,6 +169,23 @@ def sample(post: SlabSpikePosterior, M: int, seed: int) -> PosteriorDrawSet:
     draws = np.zeros((M, post.slab_weight.size))
     draws[rows, cols] = values
     return PosteriorDrawSet(draws)
+
+
+def sample_blocks(post: SlabSpikePosterior, M: int, seed: int):
+    """The rows of ``sample(post, M, seed)`` as consecutive blocks of
+    ``block_rows`` rows: the slab picks of all M draws come first, then each
+    block is filled with its own picks, which ``slab_picks`` returns in
+    increasing row order."""
+    if M < 1:
+        raise ValueError("need at least one draw")
+    rows, cols, values = slab_picks(post, np.random.default_rng(seed), M)
+    K = post.slab_weight.size
+    step = block_rows(K)
+    for start in range(0, M, step):
+        a, b = np.searchsorted(rows, (start, start + step))
+        block = np.zeros((min(step, M - start), K))
+        block[rows[a:b] - start, cols[a:b]] = values[a:b]
+        yield block
 
 
 @dataclass(frozen=True)

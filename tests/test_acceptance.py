@@ -57,7 +57,7 @@ def test_criterion_10_oracle_suites(tmp_path):
 
     # quantile convention: ceil((1-gamma) M)-th order statistic
     draws = np.repeat(np.array([[1.0], [-2.0], [3.0], [-4.0], [5.0]]), 4, axis=0)
-    quant_ok = cset.calibrate_radius(draws, np.zeros(1), NormSpec.l2(), 0.2) == 4.0
+    quant_ok = cset.calibrate_radius(sm.norm(draws, NormSpec.l2()), [0.2]) == [4.0]
 
     # norm inequality on random wavelet arrays
     bw = BasisSpec(sm.HAAR_WAVELET, 5)

@@ -27,47 +27,55 @@ def eb_setup(n=500.0, K=512, seed=3, M=400, prior="eb"):
     return obs, fitted, fitted.sample(M, seed + 1).draws
 
 
+def calibrated_radii(cs, draws, gammas):
+    """The radii of ``cs`` calibrated on the draw matrix ``draws``."""
+    return calibrate_radius(cset.distance_rows(draws, cs.measures[:1], cs.basis)[0], gammas)
+
+
+def members(cs, draws, radii):
+    """Membership of the rows of ``draws`` in ``cs`` at each primary radius."""
+    return cs.membership(cset.distance_rows(draws, cs.measures, cs.basis), radii)
+
+
 # ---------------------------------------------------------------------------
 # radius calibration
 # ---------------------------------------------------------------------------
 
 def test_calibrate_radius_hand_enumerated():
     # distances {1,2,3,4,5} at gamma = 0.2: ceil(0.8*5) = 4th smallest
-    center = np.zeros(1)
     draws = np.array([[1.0], [-2.0], [3.0], [-4.0], [5.0]])
     draws = np.repeat(draws, 4, axis=0)  # 20 draws, same distance multiset
-    r = calibrate_radius(draws, center, NormSpec.l2(), 0.2)
-    assert r == 4.0
+    assert calibrate_radius(sm.norm(draws, NormSpec.l2()), [0.2]) == [4.0]
 
 
 def test_calibrate_radius_extreme_gamma_is_max():
     rng = np.random.default_rng(0)
-    draws = rng.standard_normal((50, 3))
-    r = calibrate_radius(draws, np.zeros(3), NormSpec.l2(), 1e-9)
-    dmax = np.sqrt((draws ** 2).sum(axis=1)).max()
-    assert r == pytest.approx(dmax)
-    with pytest.raises(ValueError):
-        calibrate_radius(draws[:10], np.zeros(3), NormSpec.l2(), 0.1)
+    d = rng.random(50)
+    assert calibrate_radius(d, [1e-9]) == [d.max()]
+    with pytest.raises(ValueError, match="at least 20 draws"):
+        calibrate_radius(d[:10], [0.1])
+    with pytest.raises(ValueError, match="gamma"):
+        calibrate_radius(d, [0.1, 1.0])
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_calibrate_radius_monotone_in_gamma(seed):
     rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((60, 4))
-    center = rng.standard_normal(4)
-    radii = [calibrate_radius(draws, center, NormSpec.l2(), g)
-             for g in (0.5, 0.2, 0.1, 0.02)]
+    d = rng.random(60)
+    gammas = (0.5, 0.2, 0.1, 0.02)
+    radii = calibrate_radius(d, gammas)
     assert all(a <= b for a, b in zip(radii, radii[1:]))
+    assert radii == [calibrate_radius(d, [g])[0] for g in gammas]
 
 
 def test_self_consistency_on_calibration_draws():
     obs, fitted, draws = eb_setup()
-    for gamma in (0.05, 0.25):
-        spec = CredibleSetSpec(cset.H_DELTA_BALL, gamma)
-        cs = build_set(spec, draws, fitted)
-        inside = cs.membership(draws)
-        assert inside.sum() == math.ceil((1 - gamma) * draws.shape[0])
+    cs = build_set(CredibleSetSpec(cset.H_DELTA_BALL), fitted)
+    gammas = (0.05, 0.25)
+    inside = members(cs, draws, calibrated_radii(cs, draws, gammas))
+    for gamma, row in zip(gammas, inside):
+        assert row.sum() == math.ceil((1 - gamma) * draws.shape[0])
 
 
 def band_setup(n=500.0, seed=21, draw_seed=5, M=300):
@@ -85,31 +93,22 @@ def test_shared_levels_equal_per_level_sets(variant):
     if variant in (cset.MULTISCALE_BAND, cset.SUP_BALL):
         obs, fitted, draws = band_setup()
         w = WeightSequence.power_law(0.5, obs.basis.max_index)
-        spec = CredibleSetSpec(variant, gammas[0], weights=w,
-                               center_rule=cset.CENTER_EFFICIENT)
+        spec = CredibleSetSpec(variant, weights=w, center_rule=cset.CENTER_EFFICIENT)
     else:
         obs, fitted, draws = eb_setup(prior="hb" if variant == cset.H_DELTA_HB else "eb")
-        spec = CredibleSetSpec(variant, gammas[0])
+        spec = CredibleSetSpec(variant)
     fresh = fitted.sample(300, 99).draws
-    sets = build_set(spec, draws, fitted, gammas)
-    shared = sets[0].membership(fresh, [s.radius for s in sets])
+    cs = build_set(spec, fitted)
+    radii = calibrated_radii(cs, draws, gammas)
+    shared = members(cs, fresh, radii)
     assert shared.shape == (len(gammas), fresh.shape[0])
-    for g, cs, row in zip(gammas, sets, shared):
-        assert cs.spec.gamma == g
-        assert (cs.center is sets[0].center and cs.second is sets[0].second
-                and cs.band is sets[0].band)
-        assert cs.radius == calibrate_radius(draws, cs.center, cs.primary_norm, g,
-                                             obs.basis)
-        one = build_set(dataclasses.replace(spec, gamma=g), draws, fitted)
-        assert one.radius == cs.radius
-        assert np.array_equal(row, one.membership(fresh))
-        want = sm.norm(fresh - cs.center, cs.primary_norm, obs.basis) <= cs.radius
-        if cs.second is not None:
-            want &= sm.norm(fresh - cs.second.center, cs.second.norm_spec,
-                            obs.basis) <= cs.second.radius
-        if cs.band is not None:
-            want &= sm.norm(fresh - cs.band.center, NormSpec.sup(),
-                            obs.basis) <= cs.band.sigma
+    for g, radius, row in zip(gammas, radii, shared):
+        assert [radius] == calibrated_radii(cs, draws, [g])
+        assert np.array_equal(row, members(cs, fresh, [radius])[0])
+        want = sm.norm(fresh - cs.center, cs.primary_norm, obs.basis) <= radius
+        if cs.constraint is not None:
+            want &= sm.norm(fresh - cs.constraint.center, cs.constraint.norm_spec,
+                            obs.basis) <= cs.constraint.bound
         assert np.array_equal(row, want)
     assert 0 < shared[0].sum() < fresh.shape[0]
 
@@ -120,11 +119,12 @@ def test_shared_levels_equal_per_level_sets(variant):
 
 def test_primary_radius_identical_for_intersected_variant():
     obs, fitted, draws = eb_setup()
-    plain = build_set(CredibleSetSpec(cset.H_DELTA_BALL, 0.1), draws, fitted)
-    inter = build_set(CredibleSetSpec(cset.H_DELTA_EB, 0.1), draws, fitted)
-    assert plain.radius == inter.radius
-    assert inter.second is not None
-    assert inter.second.radius == pytest.approx(math.sqrt(math.log(obs.n)))
+    plain = build_set(CredibleSetSpec(cset.H_DELTA_BALL), fitted)
+    inter = build_set(CredibleSetSpec(cset.H_DELTA_EB), fitted)
+    assert calibrated_radii(plain, draws, [0.1]) == calibrated_radii(inter, draws, [0.1])
+    assert plain.constraint is None and len(plain.measures) == 1
+    assert inter.constraint.label == "smoothness" and len(inter.measures) == 2
+    assert inter.constraint.bound == pytest.approx(math.sqrt(math.log(obs.n)))
 
 
 def test_hb_variant_needs_median():
@@ -132,43 +132,53 @@ def test_hb_variant_needs_median():
     # alpha_hat is the likelihood maximizer, is refused
     obs, fitted, draws = eb_setup()
     with pytest.raises(ValueError, match="hierarchical Bayes fit"):
-        build_set(CredibleSetSpec(cset.H_DELTA_HB, 0.1), draws, fitted)
+        build_set(CredibleSetSpec(cset.H_DELTA_HB), fitted)
     hb = dataclasses.replace(cset.fit(obs, "hb"), alpha_hat=1.0)
-    cs = build_set(CredibleSetSpec(cset.H_DELTA_HB, 0.1), draws, hb)
+    cs = build_set(CredibleSetSpec(cset.H_DELTA_HB), hb)
     want_exponent = 1.0 - 2.0 / math.log(obs.n)
-    assert cs.second.norm_spec.s == pytest.approx(want_exponent)
-    assert cs.second.radius == pytest.approx(math.log(math.log(obs.n))
-                                             * math.sqrt(math.log(obs.n)))
+    assert cs.constraint.norm_spec.s == pytest.approx(want_exponent)
+    assert cs.constraint.bound == pytest.approx(math.log(math.log(obs.n))
+                                                * math.sqrt(math.log(obs.n)))
 
 
 def test_membership_and_binding_constraint():
     obs, fitted, draws = eb_setup()
-    cs = build_set(CredibleSetSpec(cset.H_DELTA_BALL, 0.1), draws, fitted)
-    assert cs.contains(cs.center).member
+    cs = build_set(CredibleSetSpec(cset.H_DELTA_BALL), fitted)
+    [radius] = calibrated_radii(cs, draws, [0.1])
+    assert cs.contains(cs.center, radius).member
     # construct a point just outside the ball along the first coordinate:
     # the H(delta) weight of k=1 equals one, so the needed bump is the radius
     bump = np.zeros(obs.y.size)
-    bump[0] = cs.radius * 1.01
-    rep = cs.contains(cs.center + bump)
+    bump[0] = radius * 1.01
+    rep = cs.contains(cs.center + bump, radius)
     assert not rep.member and rep.binding_constraint == "primary"
-    assert rep.distances["primary"] == pytest.approx(cs.radius * 1.01)
+    assert rep.distances["primary"] == pytest.approx(radius * 1.01)
+    # a high-frequency spike barely moves the H(delta) distance but breaks
+    # the smoothness bound, which an infinite primary radius leaves binding
+    inter = build_set(CredibleSetSpec(cset.H_DELTA_EB), fitted)
+    spike = np.zeros(obs.y.size)
+    spike[-1] = 10.0
+    rep = inter.contains(fitted.posterior_mean + spike, math.inf)
+    assert not rep.member and rep.binding_constraint == "smoothness"
+    assert rep.distances["smoothness"] > inter.constraint.bound
 
 
 def test_intersected_credibility_never_exceeds_plain():
     obs, fitted, draws = eb_setup()
     fresh = fitted.sample(300, 99).draws
-    for gamma in (0.05, 0.2):
-        plain = build_set(CredibleSetSpec(cset.H_DELTA_BALL, gamma), draws, fitted)
-        inter = build_set(CredibleSetSpec(cset.H_DELTA_EB, gamma), draws, fitted)
-        assert (inter.membership(fresh).mean()
-                <= plain.membership(fresh).mean() + 1e-12)
+    plain = build_set(CredibleSetSpec(cset.H_DELTA_BALL), fitted)
+    inter = build_set(CredibleSetSpec(cset.H_DELTA_EB), fitted)
+    radii = calibrated_radii(plain, draws, (0.05, 0.2))
+    assert np.all(members(inter, fresh, radii).mean(axis=1)
+                  <= members(plain, fresh, radii).mean(axis=1) + 1e-12)
 
 
 def test_fresh_draw_credibility_near_nominal():
     obs, fitted, draws = eb_setup(n=500.0, K=2048, M=2000)
     fresh = fitted.sample(2000, 1234).draws
-    cs = build_set(CredibleSetSpec(cset.H_DELTA_EB, 0.05), draws, fitted)
-    assert cs.membership(fresh).mean() == pytest.approx(0.95, abs=0.01)
+    cs = build_set(CredibleSetSpec(cset.H_DELTA_EB), fitted)
+    inside = members(cs, fresh, calibrated_radii(cs, draws, [0.05]))
+    assert inside.mean() == pytest.approx(0.95, abs=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +211,10 @@ def test_multiscale_band_assembly():
     obs, fitted, draws = band_setup()
     est = fitted.threshold
     w = WeightSequence.power_law(0.5, obs.basis.max_index)
-    cs = build_set(CredibleSetSpec(cset.MULTISCALE_BAND, 0.05, weights=w), draws, fitted)
-    assert cs.band is not None and cs.band.sigma > 0
-    assert np.array_equal(cs.band.center, np.where(est.support, obs.y, 0.0))
+    cs = build_set(CredibleSetSpec(cset.MULTISCALE_BAND, weights=w), fitted)
+    assert cs.constraint.label == "band" and cs.constraint.bound > 0
+    assert cs.constraint.norm_spec == NormSpec.sup()
+    assert np.array_equal(cs.constraint.center, np.where(est.support, obs.y, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +222,10 @@ def test_multiscale_band_assembly():
 # ---------------------------------------------------------------------------
 
 def test_diameter_zero_for_identical_draws():
-    b = BasisSpec(sm.FOURIER_SINE, 8)
-    obs = sm.NoisyObservation(b, np.zeros(8), 10.0, 0)
     draws = np.tile(np.linspace(0, 1, 8), (30, 1))
-    cs = build_set(CredibleSetSpec(cset.L2_BALL, 0.1), draws, cset.fit(obs, "fixed:1.0"))
-    assert diameter_estimate(cs, draws, NormSpec.l2()) == 0.0
+    assert diameter_estimate(draws, NormSpec.l2()) == 0.0
+    with pytest.raises(ValueError, match="two member draws"):
+        diameter_estimate(draws[:1], NormSpec.l2())
 
 
 def test_diameter_triangle_bound_for_band():
@@ -226,25 +236,24 @@ def test_diameter_triangle_bound_for_band():
     fitted = cset.fit(obs, "slabspike")
     draws = fitted.sample(400, 6).draws
     w = WeightSequence.power_law(0.5, b.max_index)
-    cs = build_set(CredibleSetSpec(cset.MULTISCALE_BAND, 0.05, weights=w), draws, fitted)
+    cs = build_set(CredibleSetSpec(cset.MULTISCALE_BAND, weights=w), fitted)
     pool = draws[:200]
-    members = pool[cs.membership(pool)]
-    dists = sm.norm(members - cs.band.center, NormSpec.sup(), b)
-    diam = diameter_estimate(cs, pool, NormSpec.sup())
-    assert diam <= 2 * cs.band.sigma + 1e-9
+    inside = pool[members(cs, pool, calibrated_radii(cs, draws, [0.05]))[0]]
+    dists = sm.norm(inside - cs.constraint.center, NormSpec.sup(), b)
+    diam = diameter_estimate(inside, NormSpec.sup(), b)
+    assert diam <= 2 * cs.constraint.bound + 1e-9
     assert diam <= 2 * float(np.max(dists)) + 1e-9
 
 
-def pairwise_max_type_diameter(cs, draws, norm_spec):
+def pairwise_max_type_diameter(members, norm_spec, basis):
     """The quadratic scan the linear one replaced, kept as its reference."""
-    members = draws[cs.membership(draws)]
     if members.shape[0] > 200:
         rng = np.random.default_rng(0)
         members = members[rng.choice(members.shape[0], 200, replace=False)]
     if norm_spec.kind == "sup":
-        feats = sm.haar_cell_values(members, cs.basis)
+        feats = sm.haar_cell_values(members, basis)
     else:
-        feats = members / norm_spec.weights.per_position(cs.basis)
+        feats = members / norm_spec.weights.per_position(basis)
     best = 0.0
     for i in range(feats.shape[0] - 1):
         best = max(best, float(np.max(np.abs(feats[i + 1:] - feats[i]))))
@@ -255,29 +264,26 @@ def test_max_type_diameter_equals_pairwise_scan():
     obs, fitted, draws = band_setup(M=600)
     b = obs.basis
     w = WeightSequence.power_law(0.5, b.max_index)
-    band = build_set(CredibleSetSpec(cset.MULTISCALE_BAND, 0.05, weights=w), draws, fitted)
-    # every draw is a member of an infinite sup ball around 0
-    everything = cset.CalibratedCredibleSet(CredibleSetSpec(cset.SUP_BALL, 0.05), b,
-                                            np.zeros(b.size), math.inf, NormSpec.sup())
+    band = build_set(CredibleSetSpec(cset.MULTISCALE_BAND, weights=w), fitted)
     rng = np.random.default_rng(4)
     row = rng.standard_normal(b.size)
     negative = -1e-3 - 1e-3 * rng.random((40, b.size))
     negative[:, 0] = -1.0 - rng.random(40)  # every Haar cell value is negative
     cases = [
-        (band, draws),
-        (everything, rng.standard_normal((2, b.size))),
-        (everything, np.tile(row, (30, 1))),
-        (everything, rng.integers(-2, 3, (50, b.size)).astype(float)),  # ties
-        (everything, negative),
+        draws[members(band, draws, calibrated_radii(band, draws, [0.05]))[0]],
+        rng.standard_normal((2, b.size)),
+        np.tile(row, (30, 1)),
+        rng.integers(-2, 3, (50, b.size)).astype(float),  # ties
+        negative,
         # magnitudes from 1e-9 to 1e9 exercise the rounding of the differences
-        (everything, rng.standard_normal((60, b.size)) * 10.0 ** rng.uniform(-9, 9, b.size)),
+        rng.standard_normal((60, b.size)) * 10.0 ** rng.uniform(-9, 9, b.size),
     ]
     for spec in (NormSpec.sup(), NormSpec.multiscale(w)):
         feats = sm.haar_cell_values(negative, b) if spec.kind == "sup" else negative
         assert np.all(feats < 0)
-        for cs, x in cases:
-            assert diameter_estimate(cs, x, spec) == pairwise_max_type_diameter(cs, x, spec)
-        assert diameter_estimate(everything, np.tile(row, (30, 1)), spec) == 0.0
+        for x in cases:
+            assert diameter_estimate(x, spec, b) == pairwise_max_type_diameter(x, spec, b)
+        assert diameter_estimate(np.tile(row, (30, 1)), spec, b) == 0.0
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23])
@@ -288,12 +294,14 @@ def test_band_diameter_within_its_bracket(seed):
     obs, fitted, draws = band_setup(seed=seed, M=400)
     w = WeightSequence.power_law(0.5, obs.basis.max_index)
     levels = np.arange(obs.basis.max_index + 1)
-    for cs in build_set(CredibleSetSpec(cset.MULTISCALE_BAND, 0.05, weights=w), draws,
-                        fitted, gammas=(0.05, 0.2)):
-        scale = w.values[0] + float(np.sum(w.values * 2.0 ** (levels / 2.0)))
-        bracket = min(2.0 * cs.band.sigma, 2.0 * cs.radius * scale)
+    cs = build_set(CredibleSetSpec(cset.MULTISCALE_BAND, weights=w), fitted)
+    radii = calibrated_radii(cs, draws, (0.05, 0.2))
+    scale = w.values[0] + float(np.sum(w.values * 2.0 ** (levels / 2.0)))
+    for radius, inside in zip(radii, members(cs, draws, radii)):
+        bracket = min(2.0 * cs.constraint.bound, 2.0 * radius * scale)
         # slack for the rounding of the membership distances and of the scan
-        assert diameter_estimate(cs, draws, NormSpec.sup()) <= bracket * (1 + 1e-12)
+        assert (diameter_estimate(draws[inside], NormSpec.sup(), obs.basis)
+                <= bracket * (1 + 1e-12))
 
 
 def test_pointwise_band_degenerate_and_dominated():
@@ -349,8 +357,8 @@ def test_centering_equivalence_between_shift_and_posterior_mean():
             eb = gp.empirical_bayes_alpha(obs)
             post = gp.posterior(obs, eb.alpha_hat)
             draws = gp.sample(post, 1500, 700 + seed).draws
-            rY = calibrate_radius(draws, obs.y, nrm, 0.05, b)
-            rM = calibrate_radius(draws, post.means, nrm, 0.05, b)
+            [rY] = calibrate_radius(sm.norm(draws, nrm, b, center=obs.y), [0.05])
+            [rM] = calibrate_radius(sm.norm(draws, nrm, b, center=post.means), [0.05])
             changes.append(abs(rY - rM) / rY)
         rel[n] = float(np.mean(changes))
     assert rel[2000.0] < 0.05
@@ -369,9 +377,9 @@ def test_plain_ball_members_concentrate_at_the_adaptive_rate():
     mean = fitted.posterior_mean
     l2d = np.sqrt(((draws - mean) ** 2).sum(axis=1))
     C = float(np.max(l2d)) / rate
-    ball = build_set(CredibleSetSpec(cset.H_DELTA_BALL, gamma), draws, fitted)
+    ball = build_set(CredibleSetSpec(cset.H_DELTA_BALL), fitted)
     fresh = fitted.sample(1500, 999).draws
-    inside_ball = ball.membership(fresh)
+    inside_ball = members(ball, fresh, calibrated_radii(ball, draws, [gamma]))[0]
     inside_l2 = np.sqrt(((fresh - mean) ** 2).sum(axis=1)) <= C * rate
     assert np.mean(inside_ball & inside_l2) >= 1 - gamma - 0.02
 

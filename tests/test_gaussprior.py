@@ -133,6 +133,10 @@ def test_sampling_determinism_and_law():
     d3 = gp.sample(post, 50, 6)
     assert np.array_equal(d1.draws, d2.draws)
     assert not np.array_equal(d1.draws, d3.draws)
+    # consecutive calls on one Generator continue its stream
+    rng = np.random.default_rng(5)
+    head, tail = gp.sample(post, 20, rng).draws, gp.sample(post, 30, rng).draws
+    assert np.vstack([head, tail]).tobytes() == d1.draws.tobytes()
     big = gp.sample(post, 10 ** 4, 9).draws
     stat = kstest(big[:, 2], "norm", args=(post.means[2], math.sqrt(post.variances[2])))
     assert stat.pvalue > 0.001

@@ -7,13 +7,14 @@ import math
 import os
 import string
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from credlab import cli, gaussprior as gp, harness as hz
+from credlab import cli, credsets as cset, gaussprior as gp, harness as hz, seqmodel as sm
 
 DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
 
@@ -261,6 +262,42 @@ def test_coverage_ci_half_width_formula():
     assert row["ci_half_width"] == pytest.approx(want)
 
 
+@pytest.mark.parametrize("prior", ["fixed:1.0", "eb", "hb", "slabspike"])
+def test_streamed_draws_and_distances_equal_the_matrix(prior):
+    # K = 2^14 in both lanes at n = 2000, so blocks hold 16 rows and the last
+    # block of M = 37, 200 and 2001 draws holds 5, 8 and 1 rows
+    if prior == "slabspike":
+        cfg, sets = tiny_cfg("independence_multiscale", n_list=(2000,)), hz._band_sets
+    else:
+        cfg, sets = tiny_cfg("independence_l2", n_list=(2000,), prior=prior), hz._l2_sets
+    obs = sm.observe(hz.make_signal(cfg, 2000), 2000, 5)
+    fitted, specs = sets(cfg, obs)
+    assert obs.y.size == 2 ** 14 and sm.block_rows(obs.y.size) == 16
+    measures = [m for spec in specs for m in cset.build_set(spec, fitted).measures]
+    for M, last in ((37, 5), (200, 8), (2001, 1)):
+        matrix = fitted.sample(M, 9).draws
+        blocks = list(fitted.blocks(M, 9))
+        assert [len(b) for b in blocks] == [16] * (len(blocks) - 1) + [last]
+        assert np.vstack(blocks).tobytes() == matrix.tobytes()
+        del blocks
+        want = np.array([sm.norm(matrix, spec, obs.basis, center=center)
+                         for spec, center in measures])
+        assert np.array_equal(hz._stream_distances(fitted, M, 9, measures), want)
+
+
+def test_joint_loop_holds_no_draw_matrix():
+    # one 2000 x 2^14 batch of float64 draws takes 262 MB
+    cfg = tiny_cfg("independence_l2", n_list=(2000,), reps=1, draws=2000,
+                   prior="fixed:1.0", gamma_list=(0.05,))
+    tracemalloc.start()
+    try:
+        hz.run_independence_l2(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 2 ** 14 * 8 / 4
+
+
 def test_joint_never_exceeds_marginals():
     cfg = tiny_cfg("independence_l2", n_list=(300,), reps=2, draws=80,
                    gamma_list=(0.1, 0.3))
@@ -357,6 +394,17 @@ def test_cli_unsupported_signal_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: unsupported signal 'volterra_sine:1.5:1.0'")
+    assert not os.listdir(tmp_path)
+
+
+def test_cli_error_in_a_stream_worker_exits_2(tmp_path, capsys):
+    # the H(delta) norm refuses Haar coefficients while a batch streams on a
+    # worker thread; the error reaches the CLI as on the main thread
+    rc = cli.main(["indep-l2", "--signal", "truncated_laplace:0.5:5.0", "--n", "200",
+                   "--draws", "20", "--reps", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: sobolev_log norms apply to Fourier sine coefficients\n"
     assert not os.listdir(tmp_path)
 
 
