@@ -325,12 +325,13 @@ def build_set(spec: CredibleSetSpec, fitted: FittedPosterior) -> CalibratedCredi
     raise ValueError(f"unhandled variant {variant!r}")
 
 
-def diameter_estimate(members, norm_spec: NormSpec, basis: Optional[BasisSpec] = None,
-                      max_members: int = 500, seed: int = 0) -> float:
-    """Maximum pairwise distance among the member draws ``members``, a lower
-    bound on the set diameter, over a subsample of ``max_members`` members
-    (200 for the max-type norms) drawn with ``seed``.  ``basis`` is required
-    for the max-type norms.
+def diameter_estimate(draws, norm_spec: NormSpec, basis: Optional[BasisSpec] = None,
+                      rows=None, max_members: int = 500, seed: int = 0) -> float:
+    """Maximum pairwise distance among the member draws ``draws[rows]``
+    (every row when ``rows`` is None), a lower bound on the set diameter,
+    over a subsample of ``max_members`` members (200 for the max-type norms)
+    drawn with ``seed``.  Only the subsampled rows are gathered.  ``basis``
+    is required for the max-type norms.
 
     The l2 and Sobolev scans form a Gram matrix, quadratic in the members.
     The max-type scan is linear, so there the subsample bounds no cost but
@@ -339,14 +340,17 @@ def diameter_estimate(members, norm_spec: NormSpec, basis: Optional[BasisSpec] =
     argument and odd, so the largest rounded difference in a column is
     exactly fl(column max - column min).
     """
-    members = np.asarray(members)
-    if members.shape[0] < 2:
+    draws = np.asarray(draws)
+    idx = np.arange(draws.shape[0])
+    if rows is not None:
+        idx = idx[rows]
+    if idx.size < 2:
         raise ValueError("need at least two member draws")
     if norm_spec.kind in ("multiscale", "sup"):
         max_members = min(max_members, 200)
-    if members.shape[0] > max_members:
-        rng = np.random.default_rng(seed)
-        members = members[rng.choice(members.shape[0], max_members, replace=False)]
+    if idx.size > max_members:
+        idx = idx[np.random.default_rng(seed).choice(idx.size, max_members, replace=False)]
+    members = draws[idx]
 
     if norm_spec.kind in ("l2", "sobolev_log"):
         if norm_spec.kind == "l2":

@@ -62,12 +62,20 @@ def loglik_tail_bound(obs: NoisyObservation, alpha: float) -> float:
 def _loglik_grid(grid: np.ndarray, k_log: np.ndarray, ysq: np.ndarray,
                  n: float, block: int = 64) -> np.ndarray:
     """``marginal_loglik`` on an alpha grid, vectorized in blocks; the one
-    place the formula is evaluated."""
+    place the formula is evaluated.  Blocks are computed in place in the same
+    two buffers, so a call holds two blocks at a time and makes two large
+    allocations however long the grid."""
     out = np.empty(grid.size)
+    pw_buf, t_buf = (np.empty((min(block, grid.size), k_log.size)) for _ in range(2))
+    nn_ysq = n * n * ysq
     for i in range(0, grid.size, block):
         g = grid[i:i + block]
-        pw = np.exp(np.minimum(np.outer(2.0 * g + 1.0, k_log), _EXP_CLIP))
-        out[i:i + block] = -0.5 * np.sum(np.log1p(n / pw) - n * n * ysq / (pw + n), axis=1)
+        pw, t = pw_buf[:g.size], t_buf[:g.size]
+        np.multiply.outer(2.0 * g + 1.0, k_log, out=pw)
+        np.exp(np.minimum(pw, _EXP_CLIP, out=pw), out=pw)
+        np.log1p(np.divide(n, pw, out=t), out=t)
+        t -= np.divide(nn_ysq, np.add(pw, n, out=pw), out=pw)
+        out[i:i + block] = -0.5 * np.sum(t, axis=1)
     return out
 
 

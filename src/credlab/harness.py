@@ -310,7 +310,7 @@ def run_coverage(cfg: ExperimentConfig) -> Report:
             if rep < diam_reps:
                 for i, inside in enumerate(cset.membership(dist, level_radii)):
                     try:
-                        diams[i].append(diameter_estimate(draws[inside], dn, f0.basis))
+                        diams[i].append(diameter_estimate(draws, dn, f0.basis, rows=inside))
                     except ValueError:   # fewer than two member draws
                         pass
         for i, gamma in enumerate(cfg.gamma_list):
@@ -484,7 +484,7 @@ def run_radius_scaling(cfg: ExperimentConfig) -> Report:
             eb_draws = eb_fit.sample(cfg.draws, s_cal).draws
             dist = credsets.distance_rows(eb_draws, eb_set.measures, f0.basis)
             inside = eb_set.membership(dist, credsets.calibrate_radius(dist[0], [gamma]))[0]
-            diams.append(diameter_estimate(eb_draws[inside], NormSpec.l2()))
+            diams.append(diameter_estimate(eb_draws, NormSpec.l2(), rows=inside))
         mean_radii.append(float(np.mean(radii)))
         mean_diams.append(float(np.mean(diams)))
         rows.append((n, gamma, mean_radii[-1], mean_diams[-1]))
@@ -553,9 +553,9 @@ def run_negative_bvm(cfg: ExperimentConfig) -> Report:
 
 
 def _escaping_mass(post, obs, w: WeightSequence, radius: float, M: int,
-                   seed: int, chunk: int = 200) -> float:
+                   seed: int) -> float:
     """Fraction of posterior draws with M(w)-distance to the observation
-    at least ``radius``; draws are streamed in chunks to bound memory.
+    at least ``radius``.
 
     A coordinate left to the spike is 0 in the draw, so its distance
     |0 - y_k| / w_k is fixed: a draw escapes when it leaves unpicked some
@@ -563,17 +563,11 @@ def _escaping_mass(post, obs, w: WeightSequence, radius: float, M: int,
     slab entries does.  Only the slab entries are ever materialised.
     """
     wvec = w.per_position(obs.basis)
-    rng = np.random.default_rng(seed)
     far_at_zero = np.abs(0.0 - obs.y) / wvec >= radius
-    n_far = int(far_at_zero.sum())
-    escaped = 0
-    for start in range(0, M, chunk):
-        m = min(chunk, M - start)
-        rows, cols, values = slabspike.slab_picks(post, rng, m)
-        escape = np.bincount(rows[far_at_zero[cols]], minlength=m) < n_far
-        escape[rows[np.abs(values - obs.y[cols]) / wvec[cols] >= radius]] = True
-        escaped += int(escape.sum())
-    return escaped / M
+    rows, cols, values = slabspike.slab_picks(post, np.random.default_rng(seed), M)
+    escape = np.bincount(rows[far_at_zero[cols]], minlength=M) < int(far_at_zero.sum())
+    escape[rows[np.abs(values - obs.y[cols]) / wvec[cols] >= radius]] = True
+    return int(escape.sum()) / M
 
 
 # ---------------------------------------------------------------------------

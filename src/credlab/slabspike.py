@@ -127,7 +127,7 @@ def posterior(obs: NoisyObservation, config: SlabSpikeConfig) -> SlabSpikePoster
     return SlabSpikePosterior(config, obs.basis, obs.n, sw, sm, sv, lev)
 
 
-BLOCK_VALUES = 1 << 16   # random values per fill of the slab_picks buffer
+BLOCK_VALUES = 1 << 16   # uniforms per fill of the slab_picks buffer
 
 
 def slab_picks(post: SlabSpikePosterior, rng: np.random.Generator, M: int):
@@ -136,29 +136,23 @@ def slab_picks(post: SlabSpikePosterior, rng: np.random.Generator, M: int):
 
     Entry (i, k) comes from the slab when its uniform falls below
     slab_weight[k], and then equals slab_mean[k] + sd[k] * z with its normal
-    z.  ``rng`` is consumed exactly as by ``uniform(size=(M, K))`` followed by
-    ``standard_normal((M, K))``: both are filled row block by row block into
-    one small reused buffer, and only the picked entries are kept.  Rows come
-    out in increasing order.
+    z.  Only levels <= Jn, the first 2^(Jn+1) positions, can be picked, so
+    ``rng`` is consumed as by ``random((M, 2**(Jn+1)))``, filled row block by
+    row block into one small reused buffer, followed by one
+    ``standard_normal`` per picked entry in row-major order.  Rows come out
+    in increasing order.
     """
-    K = post.slab_weight.size
-    step = max(1, BLOCK_VALUES // K)
-    buf = np.empty((min(step, M), K))
-    starts = range(0, M, step)
-    picked = []                      # flat indices into each row block
-    for start in starts:
+    weight = post.slab_weight[:2 << post.jn]    # a view; slab_weight is 0 past it
+    step = max(1, BLOCK_VALUES // weight.size)
+    buf = np.empty((min(step, M), weight.size))
+    flat = []                        # picked flat indices into the M x 2^(Jn+1) prefix
+    for start in range(0, M, step):
         block = buf[:min(step, M - start)]
         rng.random(out=block)
-        picked.append(np.flatnonzero(block < post.slab_weight))
-    z = []
-    for start, idx in zip(starts, picked):
-        block = buf[:min(step, M - start)]
-        rng.standard_normal(out=block)
-        z.append(block.ravel()[idx])
-    flat = np.concatenate([idx + start * K for start, idx in zip(starts, picked)])
-    rows, cols = np.divmod(flat, K)
-    values = post.slab_mean[cols] + np.sqrt(post.slab_var)[cols] * np.concatenate(z)
-    return rows, cols, values
+        flat.append(np.flatnonzero(block < weight) + start * weight.size)
+    rows, cols = np.divmod(np.concatenate(flat), weight.size)
+    z = rng.standard_normal(cols.size)
+    return rows, cols, post.slab_mean[cols] + np.sqrt(post.slab_var[cols]) * z
 
 
 def sample(post: SlabSpikePosterior, M: int, seed: int) -> PosteriorDrawSet:
@@ -173,9 +167,9 @@ def sample(post: SlabSpikePosterior, M: int, seed: int) -> PosteriorDrawSet:
 
 def sample_blocks(post: SlabSpikePosterior, M: int, seed: int):
     """The rows of ``sample(post, M, seed)`` as consecutive blocks of
-    ``block_rows`` rows: the slab picks of all M draws come first, then each
-    block is filled with its own picks, which ``slab_picks`` returns in
-    increasing row order."""
+    ``block_rows`` rows: the uniforms of all M draws and then the normals of
+    all their slab picks come first (``slab_picks``), then each block is
+    filled with its own picks, which come in increasing row order."""
     if M < 1:
         raise ValueError("need at least one draw")
     rows, cols, values = slab_picks(post, np.random.default_rng(seed), M)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -57,6 +58,30 @@ def test_marginal_loglik_truncation_stability():
         l1, l2 = gp.marginal_loglik(o1, alpha), gp.marginal_loglik(o2, alpha)
         assert abs(l2 - l1) < tol
     assert gp.loglik_tail_bound(o1, 2.5) < 1e-9
+
+
+def test_loglik_grid_in_place_blocks_are_exact_and_small():
+    # a 100-point grid is one block of 64 points and a partial one of 36;
+    # every value equals the formula on the whole grid, a fresh array per
+    # operation, bit for bit, and the one-alpha evaluation.  A 400-point grid
+    # holds its two block buffers (8 MB each at K = 2^14) and little else;
+    # with a fresh array per operation it held 32 MB.
+    obs = make_obs(n=2000.0, K=1 << 14, seed=5)
+    k_log, ysq, n = gp._k_log(obs.y.size), obs.y ** 2, obs.n
+    grid = np.linspace(0.01, 3.0, 100)
+    vals = gp._loglik_grid(grid, k_log, ysq, n)
+    pw = np.exp(np.minimum(np.outer(2.0 * grid + 1.0, k_log), gp._EXP_CLIP))
+    want = -0.5 * np.sum(np.log1p(n / pw) - n * n * ysq / (pw + n), axis=1)
+    assert vals.tobytes() == want.tobytes()
+    assert [float(v) for v in vals] == [gp.marginal_loglik(obs, a) for a in grid]
+    block_bytes = 64 * k_log.size * 8
+    tracemalloc.start()
+    try:
+        gp._loglik_grid(np.linspace(0.01, 3.0, 400), k_log, ysq, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * block_bytes
 
 
 def test_empirical_bayes_zero_data_hits_boundary():

@@ -63,16 +63,18 @@ def test_end_to_end_determinism_checksums(tmp_path):
 
 
 # sha256 of each report as written by commit 106f9ea, whose joint-credibility
-# loop calibrated and tested every gamma with its own distance passes, of the
-# negative-BvM report as written by commit 01b5c74, whose samplers drew dense
-# M x K matrices, and of the coverage, oversmoothing and Dirichlet reports as
-# written by commit 677c7f9, whose coverage runner observed, fitted and drew
-# each replication once per gamma and whose Dirichlet demo read its radii by
-# hand (numpy 2.4, x86-64).  Sharing those passes across gamma, drawing only
-# the slab entries and calibrating every radius by one rule must not move a
-# single byte.  The negative-BvM and Dirichlet-summary pins were re-recorded
-# when their meta line began to state the tau and weights_eps they run and to
-# omit the flags they never read; their rows are unchanged.
+# loop calibrated and tested every gamma with its own distance passes, and of
+# the coverage, oversmoothing and Dirichlet reports as written by commit
+# 677c7f9, whose coverage runner observed, fitted and drew each replication
+# once per gamma and whose Dirichlet demo read its radii by hand (numpy 2.4,
+# x86-64).  Sharing those passes across gamma and calibrating every radius by
+# one rule must not move a single byte.  The Dirichlet-summary pin was
+# re-recorded when its meta line began to state the weights_eps it runs and
+# to omit the flags it never read; its rows are unchanged.  The four
+# slab-and-spike pins (coverage_band, coverage_band_gammas, indep_ms,
+# neg_bvm) were re-recorded when slab_picks began to draw uniforms only on
+# the levels <= Jn and one normal per slab pick, a new random stream with
+# the same posterior law.
 SMALL = ["--n", "500", "--draws", "200", "--reps", "2"]
 DIRICHLET_SMALL = ["dirichlet", "--n", "1000,2000", "--draws", "200", "--reps", "2"]
 PINNED_REPORTS = {
@@ -84,24 +86,24 @@ PINNED_REPORTS = {
     "cred_table": (["cred-table", *SMALL, "--gamma", "0.05,0.2"], "credibility_table.csv",
                    "3ebe2403fdf5ebdfb3b15b33802bef665c4ec55b0da04068d7654a4022efb9fd"),
     "indep_ms": (["indep-ms", *SMALL, "--gamma", "0.05,0.1"], "independence_multiscale.csv",
-                 "32d10c138ac91379bb362ae47b7c935f7d2a16b2444c83ea7ad033d9c092c0ca"),
+                 "e7cd9ad8be24934fa34bf05670afcb35765e81c6d44740e860019bcb6242b150"),
     "coverage_eb": (["coverage", *SMALL], "coverage.csv",
                     "8cb07d958dad47b6936fdbf2b0be0df953bf438d67aa62b8fdbe5966d9dbab09"),
     "coverage_band": (["coverage", *SMALL, "--prior", "slabspike",
                        "--signal", "truncated_laplace:0.5:5.0"], "coverage.csv",
-                      "164bb5888f3930d274296bcfd5d53e0161d0108f7afd6e4abb29a28605b6fc85"),
+                      "a5e860ceb5aebe0039bc809785a27ec4694ba5e342ff3f05c77e70d2bf5544c4"),
     "radius_scaling": (["radius-scaling", "--n", "500,1000", "--draws", "200", "--reps", "2"],
                        "radius_scaling.csv",
                        "658a03c5cddca25a7cede33f76499b4da85d813171a896ea275fdf581bce1af3"),
-    # 250 draws stream as one full chunk of 200 and one partial chunk
+    # each prior's 250 draws take one slab_picks call: 250 x 2^17 uniforms
     "neg_bvm": (["neg-bvm", "--draws", "250", "--reps", "2"], "negative_bvm.csv",
-                "a9a22d4ac5a41c5ff2ab22ff1760b0305e420c80dbe6a7297cd1c2e7c75164a4"),
+                "2e871ae10894c5e5be61a1f6d7f3776786b7ca47a1c976e14f9bebfd654618e4"),
     "coverage_eb_gammas": (["coverage", *SMALL, "--gamma", "0.05,0.2"], "coverage.csv",
                            "a927f910ec0085941d4e57b00debf859f1c84f8944f73f1ae10c9bfe13e70227"),
     "coverage_band_gammas": (["coverage", *SMALL, "--gamma", "0.05,0.2",
                               "--prior", "slabspike", "--signal", "truncated_laplace:0.5:5.0"],
                              "coverage.csv",
-                             "6933afdf54b4c8cbbaa11a9843f91107e9ecf9e8e7fafd9d8f44b54ae47b559d"),
+                             "c3f90d3fa0c8ac2e9b5c64e0a3f0528079d98487e74999611ea2e5b3e8b464c9"),
     "coverage_hb": (["coverage", *SMALL, "--prior", "hb"], "coverage.csv",
                     "01952e14d9ce3bb4d8004be13e9a946eb88196ff3f910e4bc1e40f048529b3d0"),
     "oversmooth": (["oversmooth", *SMALL], "oversmoothing_demo.csv",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import kstest, norm as norm_dist
+from scipy.stats import ks_2samp, kstest, norm as norm_dist
 
 from credlab import gaussprior as gp
 from credlab import harness as hz
@@ -149,26 +149,28 @@ def test_factorized_posterior_cylinder_oracle():
 
 
 # ---------------------------------------------------------------------------
-# sparse slab draws against the dense reference, bit for bit
+# sparse slab draws against dense references
 # ---------------------------------------------------------------------------
 
+def reference_draws(post, rng, M):
+    """Plain reference for the ``slab_picks`` stream: a dense M x 2^(Jn+1)
+    matrix of uniforms over the levels <= Jn, then one normal per pick in
+    row-major order, every other entry 0."""
+    head = 2 ** (post.jn + 1)
+    rows, cols = np.nonzero(rng.random((M, head)) < post.slab_weight[:head])
+    z = rng.standard_normal(rows.size)
+    draws = np.zeros((M, post.slab_weight.size))
+    draws[rows, cols] = post.slab_mean[cols] + np.sqrt(post.slab_var[cols]) * z
+    return draws
+
+
 def dense_draws(post, rng, M):
-    """The dense sampler the sparse kernel replaces: M x K uniforms, then
-    M x K normals, spike entries set to 0."""
+    """The earlier dense sampler: M x K uniforms, then M x K normals, spike
+    entries set to 0.  Its stream differs from ``slab_picks``; its law is
+    the same."""
     pick = rng.uniform(size=(M, post.slab_weight.size)) < post.slab_weight
     gauss = post.slab_mean + np.sqrt(post.slab_var) * rng.standard_normal(pick.shape)
     return np.where(pick, gauss, 0.0)
-
-
-def dense_escaping_mass(post, obs, w, radius, M, seed, chunk):
-    """The dense chunked escaping mass the sparse kernel replaces."""
-    wvec = w.per_position(obs.basis)
-    rng = np.random.default_rng(seed)
-    escaped = 0
-    for start in range(0, M, chunk):
-        d = np.abs(dense_draws(post, rng, min(chunk, M - start)) - obs.y) / wvec
-        escaped += int(np.sum(d.max(axis=1) >= radius))
-    return escaped / M
 
 
 def negative_bvm_calls():
@@ -193,13 +195,13 @@ def band_posterior():
 @pytest.mark.parametrize("shape", ["band", "negative_bvm"])
 def test_sample_equals_dense_reference(monkeypatch, shape, block_rows):
     post = band_posterior() if shape == "band" else negative_bvm_calls()[1][0]
-    K = post.slab_weight.size
+    head = 2 ** (post.jn + 1)
     if block_rows is not None:
-        monkeypatch.setattr(ss, "BLOCK_VALUES", block_rows * K)
-    step = max(1, ss.BLOCK_VALUES // K)
+        monkeypatch.setattr(ss, "BLOCK_VALUES", block_rows * head)
+    step = max(1, ss.BLOCK_VALUES // head)
     M = 2 * step + 1 if step > 1 else 7   # a partial last block whenever blocks span rows
     ref = np.random.default_rng(11)
-    want = dense_draws(post, ref, M)
+    want = reference_draws(post, ref, M)
     assert ss.sample(post, M, 11).draws.tobytes() == want.tobytes()
 
     rng = np.random.default_rng(11)
@@ -209,11 +211,40 @@ def test_sample_equals_dense_reference(monkeypatch, shape, block_rows):
     assert values.tobytes() == want[rows, cols].tobytes()
 
 
+def test_sampling_law_matches_dense_sampler():
+    """The sparse sampler and the earlier dense one draw the same law: at
+    the mixed coordinates both pick frequencies lie within 4 binomial SE of
+    the slab weight and the slab values agree in distribution, and neither
+    touches a level above Jn.  The data ramp across the selection threshold
+    on every middle level, so that many coordinates are mixed."""
+    n, cfg = 200.0, ss.SlabSpikeConfig()
+    b = BasisSpec(sm.HAAR_WAVELET, sm.default_wavelet_truncation(n))
+    y = np.zeros(b.size)
+    for level in range(cfg.j0(n) + 1, cfg.jn(n) + 1):
+        y[sm.level_slice(level)] = np.linspace(0.0, 6.0, 2 ** level) * math.sqrt(math.log(n) / n)
+    post = ss.posterior(sm.NoisyObservation(b, y, n, 0), cfg)
+    M = 8000
+    sparse = ss.sample(post, M, 13).draws
+    rng = np.random.default_rng(14)
+    dense = np.vstack([dense_draws(post, rng, 1000) for _ in range(M // 1000)])
+    above = post.levels > post.jn
+    mixed = np.flatnonzero((post.slab_weight > 0.05) & (post.slab_weight < 0.95))
+    assert mixed.size >= 20
+    se = np.sqrt(post.slab_weight[mixed] * (1 - post.slab_weight[mixed]) / M)
+    for draws in (sparse, dense):
+        assert np.all(draws[:, above] == 0.0)
+        freq = (draws[:, mixed] != 0).mean(axis=0)
+        assert np.all(np.abs(freq - post.slab_weight[mixed]) <= 4 * se)
+    k = mixed[np.argmax(post.slab_weight[mixed])]
+    assert ks_2samp(sparse[sparse[:, k] != 0, k], dense[dense[:, k] != 0, k]).pvalue > 0.001
+
+
 def test_escaping_mass_equals_dense_reference():
-    """Both preset posteriors at the preset radius, where a handful of
-    coordinates are far from the data even at 0, and the band posterior of
-    a zero signal at a radius no unpicked coordinate reaches; 50 draws in
-    chunks of 20 leave a partial last chunk."""
+    """``_escaping_mass`` equals the escaping share of the same draws
+    evaluated densely.  Cases: both preset posteriors at the preset radius,
+    where a handful of coordinates are far from the data even at 0, and the
+    band posterior of a zero signal at a radius no unpicked coordinate
+    reaches."""
     cases = [(post, obs, w, radius) for post, obs, w, radius, _, _
              in negative_bvm_calls()]
     basis = BasisSpec(sm.HAAR_WAVELET, sm.default_wavelet_truncation(2000.0))
@@ -226,8 +257,10 @@ def test_escaping_mass_equals_dense_reference():
     assert far[0] > 0 and far[1] > 0 and far[2] == 0
     masses = []
     for post, obs, w, radius in cases:
-        got = hz._escaping_mass(post, obs, w, radius, 50, 21, chunk=20)
-        assert got == dense_escaping_mass(post, obs, w, radius, 50, 21, 20)
+        draws = reference_draws(post, np.random.default_rng(21), 50)
+        d = np.abs(draws - obs.y) / w.per_position(obs.basis)
+        got = hz._escaping_mass(post, obs, w, radius, 50, 21)
+        assert got == np.sum(d.max(axis=1) >= radius) / 50
         masses.append(got)
     assert 0.0 < masses[1] < 1.0 and 0.0 < masses[2] < 1.0
 
