@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -29,7 +30,9 @@ SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(prog="credlab",
                                 description="Credible-set simulation laboratory")
     sub = p.add_subparsers(dest="command", required=True)

@@ -94,6 +94,9 @@ class FittedPosterior:
     efficient_center: Optional[np.ndarray] = None
 
     def sample(self, M: int, seed: int) -> gaussprior.PosteriorDrawSet:
+        """M draws as an M x K matrix, K the basis size; a slab-and-spike
+        matrix holds only its 2^(Jn+1) support columns, the zeros past
+        them left out, which ``seqmodel.norm`` reads as zero-padded."""
         if isinstance(self.post, SlabSpikePosterior):
             return slabspike.sample(self.post, M, seed)
         if isinstance(self.post, HyperPosterior):
@@ -101,8 +104,9 @@ class FittedPosterior:
         return gaussprior.sample(self.post, M, seed)
 
     def blocks(self, M: int, seed: int):
-        """The rows of ``sample(M, seed)``, bit for bit, as consecutive
-        blocks of ``seqmodel.block_rows`` rows; only one block is held."""
+        """The rows of ``sample(M, seed)``, bit for bit and as wide, as
+        consecutive blocks of ``seqmodel.block_rows`` rows of that width;
+        only one block is held."""
         if isinstance(self.post, SlabSpikePosterior):
             return slabspike.sample_blocks(self.post, M, seed)
         if isinstance(self.post, HyperPosterior):
@@ -331,7 +335,8 @@ def diameter_estimate(draws, norm_spec: NormSpec, basis: Optional[BasisSpec] = N
     (every row when ``rows`` is None), a lower bound on the set diameter,
     over a subsample of ``max_members`` members (200 for the max-type norms)
     drawn with ``seed``.  Only the subsampled rows are gathered.  ``basis``
-    is required for the max-type norms.
+    is required for the max-type norms, which read draws narrower than it as
+    zero-padded.
 
     The l2 and Sobolev scans form a Gram matrix, quadratic in the members.
     The max-type scan is linear, so there the subsample bounds no cost but
@@ -364,7 +369,7 @@ def diameter_estimate(draws, norm_spec: NormSpec, basis: Optional[BasisSpec] = N
         return float(math.sqrt(max(d2.max(), 0.0)))
 
     if norm_spec.kind == "sup":
-        feats = haar_cell_values(members, basis)
+        feats = haar_cell_values(members)
     else:
-        feats = members / norm_spec.weights.per_position(basis)
+        feats = members / norm_spec.weights.per_position(basis)[:members.shape[1]]
     return float(np.max(feats.max(axis=0) - feats.min(axis=0)))

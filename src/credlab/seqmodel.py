@@ -230,6 +230,12 @@ def norm(x, spec: NormSpec, basis: Optional[BasisSpec] = None, center=None):
     for a SignalCoefficients or a raw coefficient array.
 
     ``basis`` is required for the wavelet norms when ``x`` is a bare array.
+    A wavelet array narrower than ``basis`` stands for its zero-padding to
+    the basis size, and the value is that of the padded array, bit for bit:
+    multiscale takes the larger of the head's maximum and the center tail's,
+    since |0 - c| / w is |c| / w; sup, when the center has no nonzero tail,
+    synthesises the head alone, since a level of zeros only repeats cells;
+    any other norm pads each block of rows before reducing it.
     Values computed for a 2-d array are per-row.  Its rows are taken in
     blocks of ``block_rows`` rows, so no temporary as large as ``x`` is
     built.  Every norm but sobolev_log reduces each row on its own, so the
@@ -246,6 +252,8 @@ def norm(x, spec: NormSpec, basis: Optional[BasisSpec] = None, center=None):
     else:
         arr = np.asarray(x, dtype=float)
     size = arr.shape[-1]
+    wide = basis.size if basis is not None and basis.is_wavelet else size
+    pad = size < wide
 
     if spec.kind == "l2":
         def block_norm(a):
@@ -261,25 +269,35 @@ def norm(x, spec: NormSpec, basis: Optional[BasisSpec] = None, center=None):
         if basis is None or not basis.is_wavelet:
             raise ValueError("multiscale norm requires a wavelet basis")
         w = spec.weights.per_position(basis)
+        tail = np.max(np.abs(center[size:]) / w[size:]) if pad and center is not None else 0.0
+        w, pad = w[:size], False
 
         def block_norm(a):
-            return np.max(np.abs(a) / w, axis=-1)
+            return np.maximum(np.max(np.abs(a) / w, axis=-1), tail)
     elif spec.kind == "sup":
         if basis is None or not basis.is_wavelet:
             raise ValueError("sup norm requires a wavelet basis")
+        if pad and (center is None or not np.any(center[size:])):
+            pad = False
 
         def block_norm(a):
-            return np.max(np.abs(haar_cell_values(a, basis)), axis=-1)
+            return np.max(np.abs(haar_cell_values(a)), axis=-1)
     else:
         raise ValueError(f"unknown norm kind {spec.kind!r}")
+    if center is not None and not pad:
+        center = center[:size]
+
+    def reduce(a):
+        if pad:
+            a = np.concatenate((a, np.zeros(a.shape[:-1] + (wide - size,))), axis=-1)
+        return block_norm(a if center is None else a - center)
 
     if arr.ndim < 2:
-        return block_norm(arr if center is None else arr - center)
+        return reduce(arr)
     out = np.empty(arr.shape[0])
-    step = block_rows(size)
+    step = block_rows(wide if pad else size)
     for start in range(0, arr.shape[0], step):
-        block = arr[start:start + step]
-        out[start:start + step] = block_norm(block if center is None else block - center)
+        out[start:start + step] = reduce(arr[start:start + step])
     return out
 
 
@@ -287,16 +305,20 @@ def norm(x, spec: NormSpec, basis: Optional[BasisSpec] = None, center=None):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def haar_cell_values(coeffs, basis: BasisSpec) -> np.ndarray:
-    """Values of the Haar partial sum on the 2**(J_max + 1) dyadic cells.
+def haar_cell_values(coeffs) -> np.ndarray:
+    """Values of the Haar partial sum of a flattened coefficient array of
+    length 2**(J + 1) on its 2**(J + 1) dyadic cells.
 
-    Exact because partial sums up to level J_max are constant on these cells;
-    a finer partition only repeats values.  Accepts a single coefficient
-    array or a stack of them (rows).
+    Exact because partial sums up to level J are constant on these cells; a
+    finer partition, as from a longer array with zeros past J, only repeats
+    values.  Accepts a single coefficient array or a stack of them (rows).
     """
     arr = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    size = arr.shape[-1]
+    if size < 1 or size & (size - 1):
+        raise ValueError(f"Haar coefficient arrays have a power-of-two length, not {size}")
     vals = arr[:, :1].copy()
-    for l in range(basis.max_index + 1):
+    for l in range(size.bit_length() - 1):
         c = arr[:, 2 ** l: 2 ** (l + 1)] * 2.0 ** (l / 2.0)
         nxt = np.empty((arr.shape[0], 2 ** (l + 1)))
         nxt[:, 0::2] = vals + c
@@ -311,7 +333,8 @@ def evaluate_function(coeffs, grid, basis: Optional[BasisSpec] = None) -> np.nda
     """Pointwise partial-sum values sum_k f_k e_k(x) on grid points in [0,1].
 
     Haar partial sums are evaluated as piecewise-constant functions with
-    right-closed dyadic cells; x = 0 takes the value of the first cell.
+    right-closed dyadic cells at the array's own length, which may be shorter
+    than the basis (zeros past it); x = 0 takes the value of the first cell.
     """
     if isinstance(coeffs, SignalCoefficients):
         basis = coeffs.basis
@@ -323,11 +346,10 @@ def evaluate_function(coeffs, grid, basis: Optional[BasisSpec] = None) -> np.nda
         raise ValueError("grid points must lie in [0,1]")
 
     if basis.is_wavelet:
-        level = basis.max_index + 1
-        cells = haar_cell_values(arr, basis)
-        # cell i covers (i/2^level, (i+1)/2^level]; map x=0 into cell 0
-        idx = np.ceil(x * 2 ** level).astype(int) - 1
-        idx = np.clip(idx, 0, 2 ** level - 1)
+        cells = haar_cell_values(arr)
+        count = cells.shape[-1]
+        # cell i covers (i/count, (i+1)/count]; map x=0 into cell 0
+        idx = np.clip(np.ceil(x * count).astype(int) - 1, 0, count - 1)
         return cells[..., idx]
 
     k = np.arange(1, basis.size + 1, dtype=float)

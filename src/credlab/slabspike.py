@@ -156,11 +156,13 @@ def slab_picks(post: SlabSpikePosterior, rng: np.random.Generator, M: int):
 
 
 def sample(post: SlabSpikePosterior, M: int, seed: int) -> PosteriorDrawSet:
-    """Exact factorized sampling: Bernoulli(slab_weight) picks slab vs spike."""
+    """Exact factorized sampling: Bernoulli(slab_weight) picks slab vs spike.
+    The M x 2^(Jn+1) matrix holds the levels <= Jn, leaving out the zeros
+    past them (``seqmodel.norm`` reads it as zero-padded)."""
     if M < 1:
         raise ValueError("need at least one draw")
     rows, cols, values = slab_picks(post, np.random.default_rng(seed), M)
-    draws = np.zeros((M, post.slab_weight.size))
+    draws = np.zeros((M, 2 << post.jn))
     draws[rows, cols] = values
     return PosteriorDrawSet(draws)
 
@@ -173,11 +175,11 @@ def sample_blocks(post: SlabSpikePosterior, M: int, seed: int):
     if M < 1:
         raise ValueError("need at least one draw")
     rows, cols, values = slab_picks(post, np.random.default_rng(seed), M)
-    K = post.slab_weight.size
-    step = block_rows(K)
+    width = 2 << post.jn
+    step = block_rows(width)
     for start in range(0, M, step):
         a, b = np.searchsorted(rows, (start, start + step))
-        block = np.zeros((min(step, M - start), K))
+        block = np.zeros((min(step, M - start), width))
         block[rows[a:b] - start, cols[a:b]] = values[a:b]
         yield block
 

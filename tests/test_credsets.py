@@ -78,6 +78,12 @@ def test_self_consistency_on_calibration_draws():
         assert row.sum() == math.ceil((1 - gamma) * draws.shape[0])
 
 
+def zero_pad(draws, basis):
+    """Draws as wide as ``basis``: slab-and-spike draws hold only their
+    2^(Jn+1) support columns, and every later column is 0."""
+    return np.pad(draws, ((0, 0), (0, basis.size - draws.shape[1])))
+
+
 def band_setup(n=500.0, seed=21, draw_seed=5, M=300):
     b = BasisSpec(sm.HAAR_WAVELET, sm.default_wavelet_truncation(n))
     f0 = sm.truncated_laplace_signal(0.5, 5.0, b)
@@ -105,9 +111,10 @@ def test_shared_levels_equal_per_level_sets(variant):
     for g, radius, row in zip(gammas, radii, shared):
         assert [radius] == calibrated_radii(cs, draws, [g])
         assert np.array_equal(row, members(cs, fresh, [radius])[0])
-        want = sm.norm(fresh - cs.center, cs.primary_norm, obs.basis) <= radius
+        wide = zero_pad(fresh, obs.basis)
+        want = sm.norm(wide - cs.center, cs.primary_norm, obs.basis) <= radius
         if cs.constraint is not None:
-            want &= sm.norm(fresh - cs.constraint.center, cs.constraint.norm_spec,
+            want &= sm.norm(wide - cs.constraint.center, cs.constraint.norm_spec,
                             obs.basis) <= cs.constraint.bound
         assert np.array_equal(row, want)
     assert 0 < shared[0].sum() < fresh.shape[0]
@@ -239,19 +246,21 @@ def test_diameter_triangle_bound_for_band():
     cs = build_set(CredibleSetSpec(cset.MULTISCALE_BAND, weights=w), fitted)
     pool = draws[:200]
     inside = pool[members(cs, pool, calibrated_radii(cs, draws, [0.05]))[0]]
-    dists = sm.norm(inside - cs.constraint.center, NormSpec.sup(), b)
+    dists = sm.norm(zero_pad(inside, b) - cs.constraint.center, NormSpec.sup(), b)
     diam = diameter_estimate(inside, NormSpec.sup(), b)
     assert diam <= 2 * cs.constraint.bound + 1e-9
     assert diam <= 2 * float(np.max(dists)) + 1e-9
 
 
 def pairwise_max_type_diameter(members, norm_spec, basis):
-    """The quadratic scan the linear one replaced, kept as its reference."""
+    """The quadratic scan the linear one replaced, kept as its reference; it
+    reads members narrower than the basis zero-padded to the basis size."""
     if members.shape[0] > 200:
         rng = np.random.default_rng(0)
         members = members[rng.choice(members.shape[0], 200, replace=False)]
+    members = zero_pad(members, basis)
     if norm_spec.kind == "sup":
-        feats = sm.haar_cell_values(members, basis)
+        feats = sm.haar_cell_values(members)
     else:
         feats = members / norm_spec.weights.per_position(basis)
     best = 0.0
@@ -279,7 +288,7 @@ def test_max_type_diameter_equals_pairwise_scan():
         rng.standard_normal((60, b.size)) * 10.0 ** rng.uniform(-9, 9, b.size),
     ]
     for spec in (NormSpec.sup(), NormSpec.multiscale(w)):
-        feats = sm.haar_cell_values(negative, b) if spec.kind == "sup" else negative
+        feats = sm.haar_cell_values(negative) if spec.kind == "sup" else negative
         assert np.all(feats < 0)
         for x in cases:
             assert diameter_estimate(x, spec, b) == pairwise_max_type_diameter(x, spec, b)

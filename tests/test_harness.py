@@ -74,8 +74,13 @@ def test_end_to_end_determinism_checksums(tmp_path):
 # slab-and-spike pins (coverage_band, coverage_band_gammas, indep_ms,
 # neg_bvm) were re-recorded when slab_picks began to draw uniforms only on
 # the levels <= Jn and one normal per slab pick, a new random stream with
-# the same posterior law.
+# the same posterior law.  The three slab-lane variant pins (coverage_band_sup,
+# coverage_band_l2, coverage_band_ms) were recorded at commit d36607d, whose
+# slab draws were as wide as the basis, before the draws were stored as their
+# 2^(Jn+1) support columns; ``PIN_CONFIGS`` gives the config file each runs.
 SMALL = ["--n", "500", "--draws", "200", "--reps", "2"]
+BAND_SMALL = ["coverage", *SMALL, "--prior", "slabspike",
+              "--signal", "truncated_laplace:0.5:5.0"]
 DIRICHLET_SMALL = ["dirichlet", "--n", "1000,2000", "--draws", "200", "--reps", "2"]
 PINNED_REPORTS = {
     "indep_l2_eb": (["indep-l2", *SMALL, "--gamma", "0.05,0.2"], "independence_l2.csv",
@@ -89,8 +94,7 @@ PINNED_REPORTS = {
                  "e7cd9ad8be24934fa34bf05670afcb35765e81c6d44740e860019bcb6242b150"),
     "coverage_eb": (["coverage", *SMALL], "coverage.csv",
                     "8cb07d958dad47b6936fdbf2b0be0df953bf438d67aa62b8fdbe5966d9dbab09"),
-    "coverage_band": (["coverage", *SMALL, "--prior", "slabspike",
-                       "--signal", "truncated_laplace:0.5:5.0"], "coverage.csv",
+    "coverage_band": (BAND_SMALL, "coverage.csv",
                       "a5e860ceb5aebe0039bc809785a27ec4694ba5e342ff3f05c77e70d2bf5544c4"),
     "radius_scaling": (["radius-scaling", "--n", "500,1000", "--draws", "200", "--reps", "2"],
                        "radius_scaling.csv",
@@ -100,9 +104,7 @@ PINNED_REPORTS = {
                 "2e871ae10894c5e5be61a1f6d7f3776786b7ca47a1c976e14f9bebfd654618e4"),
     "coverage_eb_gammas": (["coverage", *SMALL, "--gamma", "0.05,0.2"], "coverage.csv",
                            "a927f910ec0085941d4e57b00debf859f1c84f8944f73f1ae10c9bfe13e70227"),
-    "coverage_band_gammas": (["coverage", *SMALL, "--gamma", "0.05,0.2",
-                              "--prior", "slabspike", "--signal", "truncated_laplace:0.5:5.0"],
-                             "coverage.csv",
+    "coverage_band_gammas": ([*BAND_SMALL, "--gamma", "0.05,0.2"], "coverage.csv",
                              "c3f90d3fa0c8ac2e9b5c64e0a3f0528079d98487e74999611ea2e5b3e8b464c9"),
     "coverage_hb": (["coverage", *SMALL, "--prior", "hb"], "coverage.csv",
                     "01952e14d9ce3bb4d8004be13e9a946eb88196ff3f910e4bc1e40f048529b3d0"),
@@ -112,12 +114,25 @@ PINNED_REPORTS = {
                           "a42051cb5338fcaa86b026363f65198faae61609f0e1dad95c229d806b1790bc"),
     "dirichlet_band": (DIRICHLET_SMALL, "dirichlet_band_n1000.csv",
                        "f97228d4dd98cb064b322d3d3bc0e7c3790a58033f295fe363594a8db568fd66"),
+    "coverage_band_sup": (BAND_SMALL, "coverage.csv",
+                          "10bbad1a45eb6b3dbc215d6395912d25c09b79c93886afbf46da3503b707cec0"),
+    "coverage_band_l2": (BAND_SMALL, "coverage.csv",
+                         "85b143fb1b72df63e5924df318f67b3eca88e12234c311bf6774f693147ec65a"),
+    "coverage_band_ms": (BAND_SMALL, "coverage.csv",
+                         "0e69973f827bb27f191f8fbd19f3fe28642ce062104bc537cfb09832a43bedcc"),
 }
+PIN_CONFIGS = {"coverage_band_sup": "variant = SupBall\n",
+               "coverage_band_l2": "variant = L2Ball\n",
+               "coverage_band_ms": "variant = MultiscaleBall\n"}
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_REPORTS))
 def test_reports_match_pinned_sha256(tmp_path, case):
     argv, name, want = PINNED_REPORTS[case]
+    if case in PIN_CONFIGS:
+        config = tmp_path / "pin.cfg"
+        config.write_text(PIN_CONFIGS[case])
+        argv = argv + ["--config", str(config)]
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want
 
@@ -266,20 +281,24 @@ def test_coverage_ci_half_width_formula():
 
 @pytest.mark.parametrize("prior", ["fixed:1.0", "eb", "hb", "slabspike"])
 def test_streamed_draws_and_distances_equal_the_matrix(prior):
-    # K = 2^14 in both lanes at n = 2000, so blocks hold 16 rows and the last
-    # block of M = 37, 200 and 2001 draws holds 5, 8 and 1 rows
+    # K = 2^14 in both lanes at n = 2000.  Gaussian draws are K wide, so
+    # blocks hold 16 rows; slab-and-spike draws hold their 2^(Jn+1) = 2048
+    # support columns, so blocks hold 128 rows.  M = 37, 200 and 2001 draws
+    # end in a partial block either way.
     if prior == "slabspike":
         cfg, sets = tiny_cfg("independence_multiscale", n_list=(2000,)), hz._band_sets
     else:
         cfg, sets = tiny_cfg("independence_l2", n_list=(2000,), prior=prior), hz._l2_sets
     obs = sm.observe(hz.make_signal(cfg, 2000), 2000, 5)
     fitted, specs = sets(cfg, obs)
-    assert obs.y.size == 2 ** 14 and sm.block_rows(obs.y.size) == 16
+    width, step = (2048, 128) if prior == "slabspike" else (2 ** 14, 16)
+    assert obs.y.size == 2 ** 14 and sm.block_rows(width) == step
     measures = [m for spec in specs for m in cset.build_set(spec, fitted).measures]
-    for M, last in ((37, 5), (200, 8), (2001, 1)):
+    for M in (37, 200, 2001):
         matrix = fitted.sample(M, 9).draws
         blocks = list(fitted.blocks(M, 9))
-        assert [len(b) for b in blocks] == [16] * (len(blocks) - 1) + [last]
+        assert matrix.shape == (M, width)
+        assert [len(b) for b in blocks] == [step] * (M // step) + [M % step]
         assert np.vstack(blocks).tobytes() == matrix.tobytes()
         del blocks
         want = np.array([sm.norm(matrix, spec, obs.basis, center=center)
@@ -298,6 +317,20 @@ def test_joint_loop_holds_no_draw_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 2000 * 2 ** 14 * 8 / 4
+
+
+def test_slab_coverage_holds_no_basis_wide_draw_matrix():
+    # one 800 x 2^14 batch of float64 draws takes 105 MB; slab-and-spike
+    # draws hold only their 2^(Jn+1) = 2048 support columns
+    cfg = tiny_cfg("coverage", n_list=(2000,), reps=1, draws=800, prior="slabspike",
+                   signal="truncated_laplace:0.5:5.0")
+    tracemalloc.start()
+    try:
+        hz.run_coverage(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 800 * 2 ** 14 * 8 / 2
 
 
 def test_joint_never_exceeds_marginals():

@@ -83,7 +83,7 @@ def test_haar_partial_sum_exactness_on_midpoints():
 def test_parseval_at_truncation():
     b = BasisSpec(sm.HAAR_WAVELET, 10)
     f = sm.truncated_laplace_signal(0.5, 5.0, b)
-    vals = sm.haar_cell_values(f.coeffs, b)
+    vals = sm.haar_cell_values(f.coeffs)
     riemann = math.sqrt(np.sum(vals ** 2) / 2 ** 11)
     assert riemann == pytest.approx(float(sm.norm(f, NormSpec.l2())), rel=1e-12)
 
@@ -195,6 +195,48 @@ def test_blocked_norm_builds_no_draw_sized_temporary(spec, kind):
     finally:
         tracemalloc.stop()
     assert peak < X.nbytes / 20
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3, 17, 150])
+def test_narrow_wavelet_array_reads_as_zero_padded(rows):
+    # P = 256 columns (levels <= 7) of a K = 2048 basis; 150 rows span two
+    # blocks of the padded array and one of the narrow one
+    b = BasisSpec(sm.HAAR_WAVELET, 10)
+    P, K = 256, b.size
+    rng = np.random.default_rng(rows or 0)
+    shape = (P,) if rows is None else (rows, P)
+    # rows of scales 1e-2..1e2, so the multiscale norm of some rows comes
+    # from the head and of others from the large tail of the dense center
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-2, 2, shape[:-1] + (1,))
+    wide = np.zeros(shape[:-1] + (K,))
+    wide[..., :P] = x
+    dense_tail = rng.standard_normal(K)
+    dense_tail[P:] *= 50.0
+    zero_tail = dense_tail.copy()
+    zero_tail[P:] = 0.0
+    zero_tail[P::3] = -0.0
+    w = WeightSequence.power_law(0.5, b.max_index)
+    for spec in (NormSpec.multiscale(w), NormSpec.sup(), NormSpec.l2()):
+        for center in (None, zero_tail, dense_tail):
+            got = sm.norm(x, spec, b, center=center)
+            want = sm.norm(wide, spec, b, center=center)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (spec.kind, center)
+    if rows is not None and rows >= 17:
+        ms = sm.norm(x, NormSpec.multiscale(w), b, center=dense_tail)
+        head = np.max(np.abs(x - dense_tail[:P]) / w.per_position(b)[:P], axis=-1)
+        assert np.any(ms > head) and np.any(ms == head)
+
+    cells = sm.haar_cell_values(x)
+    assert cells.shape == shape
+    assert np.array_equal(np.repeat(cells, K // P, axis=-1), sm.haar_cell_values(wide))
+    grid = np.linspace(0.0, 1.0, 513)
+    assert np.array_equal(sm.evaluate_function(x, grid, b), sm.evaluate_function(wide, grid, b))
+
+
+def test_haar_cells_need_a_power_of_two_length():
+    with pytest.raises(ValueError, match="power-of-two"):
+        sm.haar_cell_values(np.ones(12))
 
 
 def test_sobolev_norm_rejects_wavelet_basis():

@@ -112,9 +112,12 @@ def test_sampling_frequencies_and_truncation():
     post = ss.posterior(obs, ss.SlabSpikeConfig())
     M = 10 ** 4
     draws = ss.sample(post, M, 3).draws
-    assert np.all(draws[:, post.levels > post.jn] == 0.0)
+    # the draws hold the levels <= Jn; past them the weight, so every draw, is 0
+    head = 2 ** (post.jn + 1)
+    assert draws.shape == (M, head) and np.all(post.levels[head:] > post.jn)
+    assert np.all(post.slab_weight[head:] == 0.0)
     nonzero = (draws != 0).mean(axis=0)
-    assert np.all(nonzero[post.slab_weight == 1.0] == 1.0)
+    assert np.all(nonzero[post.slab_weight[:head] == 1.0] == 1.0)
     # slab draws are continuous, so the nonzero frequency estimates the slab
     # weight; check the handful of genuinely mixed coordinates at 4 MC se
     mixed = np.flatnonzero((post.slab_weight > 0.05) & (post.slab_weight < 0.95))[:10]
@@ -202,7 +205,8 @@ def test_sample_equals_dense_reference(monkeypatch, shape, block_rows):
     M = 2 * step + 1 if step > 1 else 7   # a partial last block whenever blocks span rows
     ref = np.random.default_rng(11)
     want = reference_draws(post, ref, M)
-    assert ss.sample(post, M, 11).draws.tobytes() == want.tobytes()
+    assert ss.sample(post, M, 11).draws.tobytes() == want[:, :head].tobytes()
+    assert not np.any(want[:, head:])
 
     rng = np.random.default_rng(11)
     rows, cols, values = ss.slab_picks(post, rng, M)
@@ -227,12 +231,13 @@ def test_sampling_law_matches_dense_sampler():
     sparse = ss.sample(post, M, 13).draws
     rng = np.random.default_rng(14)
     dense = np.vstack([dense_draws(post, rng, 1000) for _ in range(M // 1000)])
-    above = post.levels > post.jn
+    head = 2 ** (post.jn + 1)
+    assert sparse.shape == (M, head) and np.all(post.levels[head:] > post.jn)
+    assert np.all(dense[:, post.levels > post.jn] == 0.0)
     mixed = np.flatnonzero((post.slab_weight > 0.05) & (post.slab_weight < 0.95))
     assert mixed.size >= 20
     se = np.sqrt(post.slab_weight[mixed] * (1 - post.slab_weight[mixed]) / M)
     for draws in (sparse, dense):
-        assert np.all(draws[:, above] == 0.0)
         freq = (draws[:, mixed] != 0).mean(axis=0)
         assert np.all(np.abs(freq - post.slab_weight[mixed]) <= 4 * se)
     k = mixed[np.argmax(post.slab_weight[mixed])]
