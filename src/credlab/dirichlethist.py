@@ -12,6 +12,9 @@ import numpy as np
 
 from .seqmodel import BasisSpec, HAAR_WAVELET, TruncatedLaplace
 
+TRUTH = (0.5, 5.0)            # (loc, scale) of the truncated Laplace truth
+RESOLUTION_SMOOTHNESS = 1.4   # the truth lies in L2-Sobolev just below 3/2
+
 
 @dataclass(frozen=True)
 class DirichletPosterior:
@@ -28,23 +31,23 @@ class DirichletPosterior:
         return self.concentrations / self.concentrations.sum()
 
 
-def default_resolution(n: int, s: float = 1.4) -> int:
-    """L with 2^L nearest (n/log n)^{1/(2s+1)}, at least 2 so that the Haar
-    basis has wavelet levels 0..L-1 with L-1 >= 1 for the multiscale weights;
-    the demo truth lies in the L2-Sobolev scale just below smoothness 3/2."""
-    target = (n / math.log(n)) ** (1.0 / (2.0 * s + 1.0))
+def default_resolution(n: int) -> int:
+    """L with 2^L nearest (n/log n)^{1/(2s+1)}, s = RESOLUTION_SMOOTHNESS, at
+    least 2 so that the Haar basis has wavelet levels 0..L-1 with L-1 >= 1
+    for the multiscale weights."""
+    target = (n / math.log(n)) ** (1.0 / (2.0 * RESOLUTION_SMOOTHNESS + 1.0))
     L = max(2, round(math.log2(target)))
     if abs(2.0 ** L - target) > abs(2.0 ** (L + 1) - target):
         L += 1
     return L
 
 
-def sample_iid_laplace(n: int, seed: int, loc: float = 0.5, scale: float = 5.0) -> np.ndarray:
-    """iid draws from the truncated Laplace density by exact inverse CDF."""
+def sample_iid_laplace(n: int, seed: int) -> np.ndarray:
+    """iid draws from the truncated Laplace ``TRUTH`` by exact inverse CDF."""
     if n < 1:
         raise ValueError("need n >= 1")
     rng = np.random.default_rng(seed)
-    return TruncatedLaplace(loc, scale).ppf(rng.uniform(size=n))
+    return TruncatedLaplace(*TRUTH).ppf(rng.uniform(size=n))
 
 
 def bin_counts(samples, L: int) -> np.ndarray:

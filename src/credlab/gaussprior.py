@@ -19,6 +19,8 @@ from scipy.special import logsumexp
 from .seqmodel import NoisyObservation, block_rows
 
 ALPHA_MIN = 0.01
+EB_GRID_SIZE, EB_TOL = 400, 1e-4  # EB scan points on [ALPHA_MIN, a_n], refined width
+LOGLIK_BLOCK = 64                 # alpha grid points per block of _loglik_grid
 _EXP_CLIP = 700.0  # exp overflow guard
 
 
@@ -60,22 +62,22 @@ def loglik_tail_bound(obs: NoisyObservation, alpha: float) -> float:
 
 
 def _loglik_grid(grid: np.ndarray, k_log: np.ndarray, ysq: np.ndarray,
-                 n: float, block: int = 64) -> np.ndarray:
+                 n: float) -> np.ndarray:
     """``marginal_loglik`` on an alpha grid, vectorized in blocks; the one
     place the formula is evaluated.  Blocks are computed in place in the same
     two buffers, so a call holds two blocks at a time and makes two large
     allocations however long the grid."""
     out = np.empty(grid.size)
-    pw_buf, t_buf = (np.empty((min(block, grid.size), k_log.size)) for _ in range(2))
+    pw_buf, t_buf = (np.empty((min(LOGLIK_BLOCK, grid.size), k_log.size)) for _ in range(2))
     nn_ysq = n * n * ysq
-    for i in range(0, grid.size, block):
-        g = grid[i:i + block]
+    for i in range(0, grid.size, LOGLIK_BLOCK):
+        g = grid[i:i + LOGLIK_BLOCK]
         pw, t = pw_buf[:g.size], t_buf[:g.size]
         np.multiply.outer(2.0 * g + 1.0, k_log, out=pw)
         np.exp(np.minimum(pw, _EXP_CLIP, out=pw), out=pw)
         np.log1p(np.divide(n, pw, out=t), out=t)
         t -= np.divide(nn_ysq, np.add(pw, n, out=pw), out=pw)
-        out[i:i + block] = -0.5 * np.sum(t, axis=1)
+        out[i:i + LOGLIK_BLOCK] = -0.5 * np.sum(t, axis=1)
     return out
 
 
@@ -89,33 +91,32 @@ class EmpiricalBayesResult:
     tail_bound: float
 
 
-def empirical_bayes_alpha(obs: NoisyObservation, alpha_min: float = ALPHA_MIN,
-                          grid_size: int = 400, tol: float = 1e-4) -> EmpiricalBayesResult:
-    """Maximize the marginal log-likelihood over [alpha_min, a_n].
+def empirical_bayes_alpha(obs: NoisyObservation) -> EmpiricalBayesResult:
+    """Maximize the marginal log-likelihood over [ALPHA_MIN, a_n].
 
     Coarse grid scan followed by golden-section refinement in the bracketing
     cell; ties break toward the smallest alpha (argmax takes the first hit).
     """
     n = obs.n
-    a_n = max(search_upper_bound(n), alpha_min + 0.5)
+    a_n = max(search_upper_bound(n), ALPHA_MIN + 0.5)
     k_log = _k_log(obs.y.size)
     ysq = obs.y ** 2
 
     def ll(alpha):
         return _loglik_grid(np.array([alpha], dtype=float), k_log, ysq, n)[0]
 
-    grid = np.linspace(alpha_min, a_n, grid_size)
+    grid = np.linspace(ALPHA_MIN, a_n, EB_GRID_SIZE)
     vals = _loglik_grid(grid, k_log, ysq, n)
     i = int(np.argmax(vals))
     lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid_size - 1)]
+    hi = grid[min(i + 1, EB_GRID_SIZE - 1)]
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = ll(c), ll(d)
-    while b - a > tol:
+    while b - a > EB_TOL:
         if fc >= fd:  # keep the left interval on ties: smallest-alpha convention
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -126,7 +127,7 @@ def empirical_bayes_alpha(obs: NoisyObservation, alpha_min: float = ALPHA_MIN,
             fd = ll(d)
     alpha_hat = a if ll(a) >= ll(b) else b
     step = grid[1] - grid[0]
-    boundary = alpha_hat <= alpha_min + step or alpha_hat >= a_n - step
+    boundary = alpha_hat <= ALPHA_MIN + step or alpha_hat >= a_n - step
     return EmpiricalBayesResult(float(alpha_hat), float(a_n), grid, vals,
                                 bool(boundary), loglik_tail_bound(obs, alpha_hat))
 
@@ -201,19 +202,18 @@ class HyperPosterior:
         return np.exp(self.log_weights)
 
 
-def _alpha_grid(alpha_min: float, a_n: float, grid_size: int) -> np.ndarray:
+def _alpha_grid(a_n: float, grid_size: int) -> np.ndarray:
     """Geometric spacing up to min(1, midpoint) then uniform to a_n."""
-    pivot = min(1.0, 0.5 * (alpha_min + a_n))
+    pivot = min(1.0, 0.5 * (ALPHA_MIN + a_n))
     n_geo = grid_size // 2
-    geo = np.geomspace(alpha_min, pivot, n_geo, endpoint=False)
+    geo = np.geomspace(ALPHA_MIN, pivot, n_geo, endpoint=False)
     uni = np.linspace(pivot, a_n, grid_size - n_geo)
     return np.concatenate([geo, uni])
 
 
 def hierarchical_marginal(obs: NoisyObservation, rate: float = 1.0,
-                          grid_size: int = 600,
-                          alpha_min: float = ALPHA_MIN) -> HyperPosterior:
-    """Normalized log posterior masses on an alpha grid over [alpha_min, a_n]
+                          grid_size: int = 600) -> HyperPosterior:
+    """Normalized log posterior masses on an alpha grid over [ALPHA_MIN, a_n]
     under the exponential hyperprior lambda(alpha) = rate exp(-rate alpha).
 
     Each cell's mass is log lambda(alpha_i) + l_n(alpha_i) + log(cell width),
@@ -222,8 +222,8 @@ def hierarchical_marginal(obs: NoisyObservation, rate: float = 1.0,
     """
     if grid_size < 3:
         raise ValueError("degenerate grid")
-    a_n = max(search_upper_bound(obs.n), alpha_min + 0.5)
-    grid = _alpha_grid(alpha_min, a_n, grid_size)
+    a_n = max(search_upper_bound(obs.n), ALPHA_MIN + 0.5)
+    grid = _alpha_grid(a_n, grid_size)
     edges = np.concatenate(([grid[0]], 0.5 * (grid[1:] + grid[:-1]), [grid[-1]]))
     widths = np.diff(edges)
 

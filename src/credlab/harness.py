@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from typing import Optional
 
 import numpy as np
@@ -273,9 +273,9 @@ def run_coverage(cfg: ExperimentConfig) -> Report:
     Per replication: fresh observation, prior fit and one draw batch, on
     which the set is calibrated at every level, then membership of the true
     signal in each.  The diameters read the batch's member draws, so the
-    batch is drawn as a matrix.  Gaussian-lane variants default to the
-    smoothness-intersected H(delta) set; the slab-spike prior builds the
-    two-stage multiscale band.
+    batch is drawn as a matrix, and a set that keeps fewer than two draws
+    raises.  Gaussian-lane variants default to the smoothness-intersected
+    H(delta) set; the slab-spike prior builds the two-stage multiscale band.
     """
     extras = _extras(cfg)
     variant, diam_reps = extras["variant"], extras["diam_reps"]
@@ -289,9 +289,8 @@ def run_coverage(cfg: ExperimentConfig) -> Report:
             spec = CredibleSetSpec(variant or credsets.MULTISCALE_BAND, weights=w)
         else:
             spec = CredibleSetSpec(variant or credsets.H_DELTA_EB)
-        levels = range(len(cfg.gamma_list))
-        hits = [0 for _ in levels]
-        radii, diams = [[] for _ in levels], [[] for _ in levels]
+        hits = [0] * len(cfg.gamma_list)
+        radii, diams = ([[] for _ in cfg.gamma_list] for _ in range(2))
         alphas = []
         for rep in range(cfg.reps):
             s_obs, s_cal = rep_seeds(cfg.seed, rep, 2)
@@ -309,10 +308,11 @@ def run_coverage(cfg: ExperimentConfig) -> Report:
                 hits[i] += cset.contains(f0.coeffs, radius).member
             if rep < diam_reps:
                 for i, inside in enumerate(cset.membership(dist, level_radii)):
-                    try:
-                        diams[i].append(diameter_estimate(draws, dn, f0.basis, rows=inside))
-                    except ValueError:   # fewer than two member draws
-                        pass
+                    if np.count_nonzero(inside) < 2:
+                        raise ValueError(f"n={n:g} gamma={cfg.gamma_list[i]} replication {rep}: "
+                                         "the set keeps fewer than the two draws a diameter "
+                                         "needs; use more draws or a smaller gamma")
+                    diams[i].append(diameter_estimate(draws, dn, f0.basis, rows=inside))
         for i, gamma in enumerate(cfg.gamma_list):
             p = hits[i] / cfg.reps
             ci = 1.96 * math.sqrt(p * (1 - p) / cfg.reps)
@@ -364,26 +364,29 @@ def _joint_masses(cfg: ExperimentConfig, n: float, fit) -> dict:
     """
     f0 = make_signal(cfg, n)
     masses = {g: [] for g in cfg.gamma_list}
-    # The two batches draw from independent generators, and numpy draws and
-    # reduces a block without holding the GIL, so they run side by side.
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        for rep in range(cfg.reps):
-            s_obs, s_cal, s_fresh = rep_seeds(cfg.seed, rep, 3)
-            obs = observe(f0, n, s_obs)
-            fitted, specs = fit(cfg, obs)
-            sets = [build_set(spec, fitted) for spec in specs]
-            batches = ((s_cal, [cs.measures[0] for cs in sets]),
-                       (s_fresh, [m for cs in sets for m in cs.measures]))
-            futures = [pool.submit(_stream_distances, fitted, cfg.draws, seed, measures)
-                       for seed, measures in batches]
-            calib, fresh = (f.result() for f in futures)
-            per_set = np.split(fresh, np.cumsum([len(cs.measures) for cs in sets])[:-1])
-            A, B = (cs.membership(d, credsets.calibrate_radius(r, cfg.gamma_list))
-                    for cs, r, d in zip(sets, calib, per_set))
-            for i, g in enumerate(cfg.gamma_list):
-                masses[g].append((float(A[i].mean()), float(B[i].mean()),
-                                  float((A[i] & B[i]).mean())))
+    for rep in range(cfg.reps):
+        s_obs, s_cal, s_fresh = rep_seeds(cfg.seed, rep, 3)
+        obs = observe(f0, n, s_obs)
+        fitted, specs = fit(cfg, obs)
+        sets = [build_set(spec, fitted) for spec in specs]
+        calib, fresh = _side_by_side(_stream_distances, [
+            (fitted, cfg.draws, s_cal, [cs.measures[0] for cs in sets]),
+            (fitted, cfg.draws, s_fresh, [m for cs in sets for m in cs.measures])])
+        per_set = np.split(fresh, np.cumsum([len(cs.measures) for cs in sets])[:-1])
+        A, B = (cs.membership(d, credsets.calibrate_radius(r, cfg.gamma_list))
+                for cs, r, d in zip(sets, calib, per_set))
+        for i, g in enumerate(cfg.gamma_list):
+            masses[g].append((float(A[i].mean()), float(B[i].mean()),
+                              float((A[i] & B[i]).mean())))
     return masses
+
+
+def _side_by_side(fn, calls) -> list:
+    """``[fn(*args) for args in calls]`` on two threads, in call order.  The
+    callers' calls draw from independent generators, and numpy draws and
+    reduces arrays without holding the GIL, so the calls run side by side."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return [f.result() for f in [pool.submit(fn, *args) for args in calls]]
 
 
 def _stream_distances(fitted, M: int, seed: int, measures) -> np.ndarray:
@@ -457,47 +460,29 @@ def run_independence_multiscale(cfg: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 def loglog_slope(ns, values) -> float:
-    x = np.log(np.asarray(ns, dtype=float))
-    y = np.log(np.asarray(values, dtype=float))
-    return float(np.polyfit(x, y, 1)[0])
+    return float(np.polyfit(np.log(ns), np.log(values), 1)[0])
 
 
 def run_radius_scaling(cfg: ExperimentConfig) -> Report:
     """l2 credible radius at fixed alpha and smoothed-set l2 diameter under
-    empirical Bayes, against n; slopes estimated by log-log regression."""
+    empirical Bayes, against n; slopes estimated by log-log regression.  Two
+    coverage runs at the first gamma on the same seeds: the empirical-Bayes
+    H(delta) set with a diameter every replication, then the fixed-alpha l2
+    ball (in the other order the preset ran about 10% slower on 2 vCPUs)."""
     gamma = cfg.gamma_list[0]
-    rows = []
-    mean_radii, mean_diams = [], []
-    for n in cfg.n_list:
-        f0 = make_signal(cfg, n)
-        radii, diams = [], []
-        for rep in range(cfg.reps):
-            s_obs, s_cal = rep_seeds(cfg.seed, rep, 2)
-            obs = observe(f0, n, s_obs)
-            fixed_fit = credsets.fit(obs, cfg.prior)
-            ball = build_set(CredibleSetSpec(credsets.L2_BALL), fixed_fit)
-            dist = credsets.distance_rows(fixed_fit.sample(cfg.draws, s_cal).draws,
-                                          ball.measures, f0.basis)
-            radii += credsets.calibrate_radius(dist[0], [gamma])
-            eb_fit = credsets.fit(obs, "eb")
-            eb_set = build_set(CredibleSetSpec(credsets.H_DELTA_EB), eb_fit)
-            eb_draws = eb_fit.sample(cfg.draws, s_cal).draws
-            dist = credsets.distance_rows(eb_draws, eb_set.measures, f0.basis)
-            inside = eb_set.membership(dist, credsets.calibrate_radius(dist[0], [gamma]))[0]
-            diams.append(diameter_estimate(eb_draws, NormSpec.l2(), rows=inside))
-        mean_radii.append(float(np.mean(radii)))
-        mean_diams.append(float(np.mean(diams)))
-        rows.append((n, gamma, mean_radii[-1], mean_diams[-1]))
-    slope_r = loglog_slope(cfg.n_list, mean_radii)
-    slope_d = loglog_slope(cfg.n_list, mean_diams)
-    meta = _meta(cfg)
-    meta["radius_slope"] = slope_r
-    meta["diameter_slope"] = slope_d
-    alpha = fixed_fit.alpha_hat
-    meta["theory_slope"] = -alpha / (2 * alpha + 1)
+    eb, fixed = (run_coverage(replace(cfg, experiment="coverage", gamma_list=(gamma,),
+                                      prior=prior, extras=extras)).row_dicts()
+                 for prior, extras in (("eb", {"diam_reps": cfg.reps}),
+                                       (cfg.prior, {"variant": credsets.L2_BALL, "diam_reps": 0})))
+    mean_radii = [r["mean_radius"] for r in fixed]
+    mean_diams = [r["mean_diameter"] for r in eb]
+    alpha = float(cfg.prior.partition(":")[2])
+    meta = _meta(cfg) | {"radius_slope": loglog_slope(cfg.n_list, mean_radii),
+                         "diameter_slope": loglog_slope(cfg.n_list, mean_diams),
+                         "theory_slope": -alpha / (2 * alpha + 1)}
     return Report("radius_scaling",
                   ("n", "gamma", "mean_l2_radius_fixed_alpha", "mean_l2_diameter_eb"),
-                  rows, meta)
+                  [(n, gamma, r, d) for n, r, d in zip(cfg.n_list, mean_radii, mean_diams)], meta)
 
 
 # ---------------------------------------------------------------------------
@@ -528,19 +513,14 @@ def run_negative_bvm(cfg: ExperimentConfig) -> Report:
     margin = seqmodel.sup_selfsim_margin(f0, beta, 1, min(j_max, 8))
 
     rows = []
-    # The two priors draw from independent generators, and numpy fills random
-    # arrays without holding the GIL, so their escaping masses run side by
-    # side.  Everything else, the posteriors included, stays on this thread.
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        for rep in range(cfg.reps):
-            s_obs, s_a, s_b = rep_seeds(cfg.seed, rep, 3)
-            obs = observe(f0, n_test, s_obs)
-            posts = [slabspike.posterior(obs, slabspike.SlabSpikeConfig(j0_rule, cfg.tau))
-                     for j0_rule in (("explicit", 0), ("sqrt_log_n",))]
-            futures = [pool.submit(_escaping_mass, post, obs, w, radius, cfg.draws, seed)
-                       for post, seed in zip(posts, (s_a, s_b))]
-            full, fitted = (f.result() for f in futures)
-            rows.append((rep, n_test, test_m, level, Mn, full, fitted, margin))
+    for rep in range(cfg.reps):
+        s_obs, s_a, s_b = rep_seeds(cfg.seed, rep, 3)
+        obs = observe(f0, n_test, s_obs)
+        posts = [slabspike.posterior(obs, slabspike.SlabSpikeConfig(j0_rule, cfg.tau))
+                 for j0_rule in (("explicit", 0), ("sqrt_log_n",))]
+        full, fitted = _side_by_side(_escaping_mass, [
+            (post, obs, w, radius, cfg.draws, seed) for post, seed in zip(posts, (s_a, s_b))])
+        rows.append((rep, n_test, test_m, level, Mn, full, fitted, margin))
     meta = _meta(cfg)
     meta["median_mass_full_threshold"] = float(np.median([r[5] for r in rows]))
     meta["median_mass_fitted_zone"] = float(np.median([r[6] for r in rows]))
@@ -588,7 +568,7 @@ def run_dirichlet_demo(cfg: ExperimentConfig) -> Report:
         L = dirichlethist.default_resolution(int(n))
         basis = dirichlethist.haar_basis_for(L)
         ms = NormSpec.multiscale(WeightSequence.power_law(cfg.weights_eps, basis.max_index))
-        truth = seqmodel.truncated_laplace_signal(0.5, 5.0, basis)
+        truth = seqmodel.truncated_laplace_signal(*dirichlethist.TRUTH, basis)
         covered = 0
         env_done = False
         for rep in range(cfg.reps):
@@ -623,7 +603,7 @@ def _emit_dirichlet_envelopes(cfg, n, grid, basis, coefs, mean_coefs, keep, gamm
     mean_vals = seqmodel.evaluate_function(mean_coefs, grid, basis)
     sup_d = np.max(np.abs(vals - mean_vals), axis=1)
     q = credsets.calibrate_radius(sup_d, [gamma])[0]
-    truth_vals = seqmodel.TruncatedLaplace(0.5, 5.0).pdf(grid)
+    truth_vals = seqmodel.TruncatedLaplace(*dirichlethist.TRUTH).pdf(grid)
     emit(Report("dirichlet_band", ("x", "lower", "upper", "mean", "truth"),
                 list(zip(grid, lo, hi, mean_vals, truth_vals)),
                 {"n": int(n), "seed": cfg.seed, "sup_band_halfwidth": q}),

@@ -373,7 +373,7 @@ def power_sine_signal(a: float, b: float, basis: BasisSpec) -> SignalCoefficient
 class TruncatedLaplace:
     """Density proportional to exp(-scale*|x-loc|) on [0,1], exactly normalized."""
 
-    def __init__(self, loc: float = 0.5, scale: float = 5.0):
+    def __init__(self, loc: float, scale: float):
         if not 0 < loc < 1 or scale <= 0:
             raise ValueError("need 0 < loc < 1 and scale > 0")
         self.loc = loc

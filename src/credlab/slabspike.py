@@ -198,7 +198,8 @@ def _mixture_median(sw, mean, sd):
 
     Zero exactly when the atom straddles the half-mass point, i.e.
     F(0-) < 1/2 <= F(0); otherwise the closed-form Gaussian-CDF inversion.
-    A bisection fallback covers entries where the closed form degenerates.
+    Its argument is clipped into [1e-300, 1 - 1e-16], where ndtri lies in
+    [-37.05, 8.21], so for a finite mean and sd > 0 the median is finite.
     """
     sw = np.asarray(sw, dtype=float)
     mean = np.asarray(mean, dtype=float)
@@ -216,22 +217,6 @@ def _mixture_median(sw, mean, sd):
         med_pos = mean + sd * ndtri(np.clip(p, 1e-300, 1 - 1e-16))
     med[neg] = med_neg[neg]
     med[pos] = med_pos[pos]
-
-    bad = (neg | pos) & ~np.isfinite(med)
-    if np.any(bad):
-        idx = np.flatnonzero(bad)
-        for i in idx:
-            lo, hi = mean.flat[i] - 12 * sd.flat[i], mean.flat[i] + 12 * sd.flat[i]
-            for _ in range(200):  # bisection to 1e-12 of the bracket
-                mid = 0.5 * (lo + hi)
-                Fm = sw.flat[i] * ndtr((mid - mean.flat[i]) / sd.flat[i]) + (1 - sw.flat[i]) * (mid >= 0)
-                if Fm < 0.5:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < 1e-12:
-                    break
-            med.flat[i] = 0.5 * (lo + hi)
     return med
 
 

@@ -210,7 +210,7 @@ def test_hierarchical_degenerate_hyperprior_concentrates():
 
 def test_hierarchical_flat_likelihood_matches_hyperprior_quadrature():
     # a single stored coefficient makes l_n constant in alpha, so the grid
-    # masses must reproduce the hyperprior restricted to [alpha_min, a_n]
+    # masses must reproduce the hyperprior restricted to [ALPHA_MIN, a_n]
     b = BasisSpec(sm.FOURIER_SINE, 1)
     obs = sm.NoisyObservation(b, np.zeros(1), 1.0, 0)
     rate = 1.0

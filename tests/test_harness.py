@@ -456,6 +456,24 @@ def test_cli_empty_fresh_set_exits_2(tmp_path, capsys):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("argv", [
+    ["coverage", "--n", "200"],
+    ["coverage", "--n", "200", "--prior", "slabspike", "--signal", "truncated_laplace:0.5:5.0"],
+    ["radius-scaling", "--n", "200,400"],
+])
+def test_cli_too_few_members_for_a_diameter_exits_2(tmp_path, capsys, argv):
+    # at gamma 0.96 a set calibrated on 20 draws keeps one of them, and a
+    # diameter needs two: the run stops instead of reporting a NaN diameter
+    out = tmp_path / "out"
+    rc = cli.main(argv + ["--draws", "20", "--gamma", "0.96", "--reps", "3",
+                          "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n=200 gamma=0.96 replication 0: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, variant, message", [
     # the sup norm lives on the Haar basis, not on the Fourier lane
     (["--n", "200"], "SupBall", "sup norm requires a wavelet basis"),

@@ -297,6 +297,24 @@ def test_median_against_grid_inversion(sw, mu, sd):
     assert Fm == pytest.approx(0.5, abs=1e-7)
 
 
+@pytest.mark.parametrize("sw", [1e-300, 0.5, 0.5 + 2 ** -52, 0.75, 1.0])
+@pytest.mark.parametrize("ratio", [-1e14, -40.0, 0.0, 8.5, 40.0, 1e14])
+@pytest.mark.parametrize("sd", [1e-8, 1.0])
+def test_median_finite_and_solves_half_at_extremes(sw, ratio, sd):
+    # the clipped closed form stays finite however far the slab sits from the
+    # atom: F brackets 1/2 within h of m, h wide enough for the rounding of
+    # mean + sd t at |mean| / sd = 1e14
+    mean = ratio * sd
+    med = ss._mixture_median(np.array([sw]), np.array([mean]), np.array([sd]))[0]
+    assert np.isfinite(med)
+
+    def F(x):
+        return sw * norm_dist.cdf(x, mean, sd) + (1 - sw) * (x >= 0)
+
+    h = 1e-9 * sd + 1e-15 * abs(mean)
+    assert F(med - h) - 1e-15 <= 0.5 <= F(med + h) + 1e-15
+
+
 def test_threshold_estimate_support_structure():
     f0, obs = laplace_obs(500.0, seed=9)
     post = ss.posterior(obs, ss.SlabSpikeConfig())
