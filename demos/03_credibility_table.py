@@ -19,7 +19,7 @@ OUT = os.path.join(os.path.dirname(__file__), "output")
 
 def main():
     cfg = hz.ExperimentConfig.defaults("credibility_table")
-    report = hz.run_credibility_table(cfg)
+    report = hz.run_experiment(cfg)
     path = hz.emit(report, os.path.join(OUT, "credibility_table.csv"))
     header = ("n", "gamma", "cred(smoothed)", "cred(l2)", "joint", "product",
               "(1-g)^2")

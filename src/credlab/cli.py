@@ -1,11 +1,13 @@
-"""Command-line front end: one subcommand per experiment.
+"""Command-line front end: one subcommand per experiment of
+``harness.EXPERIMENTS``, which declares each one's subcommand, preset,
+priors, config keys and --check gates.
 
 Exit codes: 0 on success, 2 on configuration errors ("config error: ...")
 and on errors raised while the experiment runs ("error: ..."), 3 when
 --check is set and one of the experiment's headline thresholds fails.  Any
 flag may also be supplied through a KEY=VALUE config file via --config;
-explicit flags win; it also takes the experiment's keys in
-``harness.FIELD_KEYS`` and ``harness.EXTRAS``.
+explicit flags win; it also takes the experiment's own keys, its
+``Experiment.fields`` and ``Experiment.extras``.
 """
 
 from __future__ import annotations
@@ -18,16 +20,7 @@ import sys
 
 from . import harness
 
-SUBCOMMANDS = {
-    "coverage": "coverage",
-    "cred-table": "credibility_table",
-    "indep-l2": "independence_l2",
-    "indep-ms": "independence_multiscale",
-    "neg-bvm": "negative_bvm",
-    "dirichlet": "dirichlet_demo",
-    "radius-scaling": "radius_scaling",
-    "oversmooth": "oversmoothing_demo",
-}
+SUBCOMMANDS = {e.command: name for name, e in harness.EXPERIMENTS.items()}
 
 
 @functools.cache
@@ -88,14 +81,14 @@ def make_config(args: argparse.Namespace) -> harness.ExperimentConfig:
     the result is validated again after the overrides.  A flag or config key
     the experiment never reads is rejected."""
     cfg = harness.ExperimentConfig.defaults(SUBCOMMANDS[args.command])
+    exp = harness.EXPERIMENTS[cfg.experiment]
     given = read_config_file(args.config) if args.config else {}
     given.update((flag, getattr(args, flag)) for flag, _, _ in FLAGS
                  if getattr(args, flag) is not None)
-    unread = [flag for flag, attr, _ in FLAGS
-              if attr in harness.UNREAD_FIELDS.get(cfg.experiment, ()) and flag in given]
+    unread = [flag for flag, attr, _ in FLAGS if attr in exp.unread and flag in given]
     if unread:
         raise ValueError(f"{args.command} does not read --{', --'.join(unread)}")
-    field_keys = [(key, key, float) for key in harness.FIELD_KEYS.get(cfg.experiment, ())]
+    field_keys = [(key, key, float) for key in exp.fields]
     fields = {attr: _parse(key, given.pop(key), cast)
               for key, attr, cast in (*FLAGS, *field_keys) if key in given}
     fields.setdefault("out_dir", "reports")
@@ -120,7 +113,7 @@ def main(argv=None) -> int:
     print(f"wrote {path}")
     failures = 0
     if args.check:
-        for name, ok, detail in harness.check_report(report):
+        for name, ok, detail in harness.EXPERIMENTS[cfg.experiment].gates(report):
             print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
             failures += not ok
     return 3 if failures else 0

@@ -14,7 +14,8 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,13 +25,7 @@ from .seqmodel import BasisSpec, NormSpec, WeightSequence, observe
 
 REPORT_SCHEMA = "credlab-report-v1"
 
-EXPERIMENTS = ("coverage", "credibility_table", "independence_l2",
-               "independence_multiscale", "negative_bvm", "dirichlet_demo",
-               "radius_scaling", "oversmoothing_demo")
-
-# The config keys beyond the flags that each experiment reads, kept in
-# ``extras``: how a value parses, its default, its valid range and that range
-# in words.  Any other key is rejected.
+# The config keys of both coverage experiments beyond the flags, kept in ``extras``.
 _COVERAGE_KEYS = {
     "variant": (str, None, credsets.VARIANTS.__contains__, "a credible-set variant"),
     "diam_reps": (int, 10, lambda v: v >= 0, ">= 0"),
@@ -41,32 +36,34 @@ N_M_LEN = 24
 # Largest tested sample size n_test = n_{test_m}, ten times the preset's 1e5;
 # the Haar basis at n_test has between n_test and 2 n_test coefficients.
 N_TEST_MAX = 1e6
-EXTRAS = {
-    "coverage": _COVERAGE_KEYS,
-    "oversmoothing_demo": _COVERAGE_KEYS,
-    "negative_bvm": {"beta": (float, 1.0, *_POSITIVE), "R": (float, 2.0, *_POSITIVE),
-                     "r": (float, 0.95, *_POSITIVE),
-                     "test_m": (int, 2, lambda v: 1 <= v <= N_M_LEN, f"in 1..{N_M_LEN}"),
-                     "subseq_base": (float, 1e4, lambda v: v > 1, "> 1"),
-                     "subseq_ratio": (float, 10.0, lambda v: v > 1, "> 1")},
-    "dirichlet_demo": {"grid_points": (int, 257, lambda v: v >= 2, ">= 2")},
-}
-
-# The config keys that set an ExperimentConfig field, for the one experiment
-# that reads it.
-FIELD_KEYS = {"negative_bvm": ("tau",), "dirichlet_demo": ("weights_eps",)}
-
-# The fields an experiment never reads; setting the flag or config key of
-# one is rejected, and the report meta omits them.
-UNREAD_FIELDS = {
-    "negative_bvm": ("n_list", "gamma_list", "prior", "signal"),
-    "dirichlet_demo": ("prior", "signal"),
-}
+# The priors of the Gaussian lane, by kind.
+_GAUSSIAN = ("eb", "hb", "fixed")
 
 
 # ---------------------------------------------------------------------------
 # configuration and reports
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment, declared once in ``EXPERIMENTS``: its CLI subcommand,
+    its runner, its --check gates, its preset config, the prior kinds it runs
+    (others are rejected), the config keys kept in ``extras`` (how a value
+    parses, its default, its valid range and that range in words), the
+    config keys that set an ExperimentConfig field, the fields it never reads
+    (setting one is rejected, and the report meta omits them), and a check of
+    the whole config that raises ValueError."""
+
+    command: str
+    run: Callable
+    gates: Callable
+    preset: dict
+    priors: tuple = (*_GAUSSIAN, "slabspike")
+    extras: dict = field(default_factory=dict)
+    fields: tuple = ()
+    unread: tuple = ()
+    validate: Callable = lambda cfg: None
+
 
 @dataclass
 class ExperimentConfig:
@@ -84,19 +81,17 @@ class ExperimentConfig:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        exp = EXPERIMENTS.get(self.experiment)
+        if exp is None:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.draws < 20 or self.reps < 1 or self.seed < 0:
             raise ValueError("counts must be positive (draws >= 20), the seed nonnegative")
         if not self.gamma_list or not all(0 < g < 1 for g in self.gamma_list):
             raise ValueError("gamma values must lie in (0,1)")
-        if not self.n_list and self.experiment != "negative_bvm":
+        if not self.n_list and "n_list" not in exp.unread:
             raise ValueError(f"{self.experiment} needs at least one noise level n")
         if not all(1 < n < math.inf for n in self.n_list):
             raise ValueError("noise levels n must exceed 1 and be finite")
-        if self.experiment == "radius_scaling" and len(set(self.n_list)) < 2:
-            raise ValueError("radius_scaling fits a log-log slope and needs at least "
-                             "two distinct noise levels n")
         if not (0.5 < self.tau < math.inf and 0 < self.weights_eps < math.inf):
             raise ValueError("tau must be finite and exceed 1/2, weights_eps finite and positive")
         kind, _, alpha = self.prior.partition(":")
@@ -108,44 +103,21 @@ class ExperimentConfig:
         if not known:
             raise ValueError(f"unknown prior {self.prior!r} "
                              "(eb | hb | slabspike | fixed:<alpha >= 0>)")
-        if self.experiment in ("radius_scaling", "oversmoothing_demo") and kind != "fixed":
-            raise ValueError(f"{self.experiment} reads only fixed:<alpha> priors, "
-                             f"not {self.prior!r}")
-        allowed = EXTRAS.get(self.experiment, {})
-        unknown = sorted(set(self.extras) - set(allowed))
+        if kind not in exp.priors:
+            forms = " | ".join("fixed:<alpha>" if p == "fixed" else p for p in exp.priors)
+            raise ValueError(f"{self.experiment} reads only {forms} priors, not {self.prior!r}")
+        unknown = sorted(set(self.extras) - set(exp.extras))
         if unknown:
-            keys = [*allowed, *FIELD_KEYS.get(self.experiment, ())]
+            keys = [*exp.extras, *exp.fields]
             raise ValueError(f"unknown config keys for {self.experiment}: "
                              f"{', '.join(unknown)} (allowed: {', '.join(keys) or 'none'})")
-        self.extras = {key: _parse_key(key, raw, *allowed[key])
+        self.extras = {key: _parse_key(key, raw, *exp.extras[key])
                        for key, raw in self.extras.items()}
-        if self.experiment == "negative_bvm":
-            _subsequence(_extras(self))
+        exp.validate(self)
 
     @classmethod
     def defaults(cls, experiment: str) -> "ExperimentConfig":
-        presets = {
-            "coverage": dict(n_list=(2000,), gamma_list=(0.05,), draws=1000, reps=200),
-            "oversmoothing_demo": dict(n_list=(2000,), gamma_list=(0.05,), draws=1000,
-                                       reps=200, prior="fixed:3.0"),
-            "credibility_table": dict(n_list=(500, 2000),
-                                      gamma_list=(0.05, 0.10, 0.15, 0.20),
-                                      draws=2000, reps=20),
-            "independence_l2": dict(n_list=(2000,), gamma_list=(0.05, 0.20),
-                                    draws=2000, reps=20),
-            "independence_multiscale": dict(n_list=(2000,), gamma_list=(0.05, 0.10),
-                                            draws=1000, reps=10,
-                                            prior="slabspike",
-                                            signal="truncated_laplace:0.5:5.0"),
-            "negative_bvm": dict(n_list=(), gamma_list=(0.05,), draws=1000, reps=5,
-                                 signal="holder_spike", tau=4.0),
-            "dirichlet_demo": dict(n_list=(1000, 2000, 5000, 10000),
-                                   gamma_list=(0.05,), draws=2000, reps=100,
-                                   signal="truncated_laplace:0.5:5.0", weights_eps=0.1),
-            "radius_scaling": dict(n_list=(500, 2000, 8000), gamma_list=(0.05,),
-                                   draws=2000, reps=10, prior="fixed:1.0"),
-        }
-        return cls(experiment=experiment, **presets[experiment])
+        return cls(experiment=experiment, **EXPERIMENTS[experiment].preset)
 
 
 def _parse_key(key, raw, parse, _default, valid, rule):
@@ -177,7 +149,21 @@ def _subsequence(ex: dict):
 
 def _extras(cfg: ExperimentConfig) -> dict:
     """Every extras key the experiment reads: the value set, else the default."""
-    return {key: spec[1] for key, spec in EXTRAS.get(cfg.experiment, {}).items()} | cfg.extras
+    return {key: spec[1] for key, spec in EXPERIMENTS[cfg.experiment].extras.items()} | cfg.extras
+
+
+def _one_gamma(cfg: ExperimentConfig):
+    """An experiment that reads one gamma rejects a second."""
+    if len(cfg.gamma_list) > 1:
+        raise ValueError(f"{cfg.experiment} reads one gamma, not {len(cfg.gamma_list)}")
+
+
+def _slope_levels(cfg: ExperimentConfig):
+    """The radius scaling fits a log-log slope at one gamma."""
+    if len(set(cfg.n_list)) < 2:
+        raise ValueError(f"{cfg.experiment} fits a log-log slope and needs at least "
+                         "two distinct noise levels n")
+    _one_gamma(cfg)
 
 
 @dataclass
@@ -276,6 +262,7 @@ def run_coverage(cfg: ExperimentConfig) -> Report:
     batch is drawn as a matrix, and a set that keeps fewer than two draws
     raises.  Gaussian-lane variants default to the smoothness-intersected
     H(delta) set; the slab-spike prior builds the two-stage multiscale band.
+    The report's kind is the experiment run (``oversmooth`` runs this too).
     """
     extras = _extras(cfg)
     variant, diam_reps = extras["variant"], extras["diam_reps"]
@@ -319,55 +306,44 @@ def run_coverage(cfg: ExperimentConfig) -> Report:
             rows.append((n, gamma, p, ci, float(np.mean(radii[i])),
                          float(np.mean(diams[i])) if diams[i] else float("nan"),
                          float(np.mean(alphas)) if alphas else float("nan"), cfg.reps))
-    return Report("coverage",
+    return Report(cfg.experiment,
                   ("n", "gamma", "coverage", "ci_half_width", "mean_radius",
                    "mean_diameter", "mean_alpha", "replications"),
                   rows, _meta(cfg))
 
 
-def run_oversmoothing_demo(cfg: ExperimentConfig) -> Report:
-    """Coverage collapse under a deliberately too-smooth fixed prior."""
-    rep = run_coverage(cfg)
-    rep.kind = "oversmoothing_demo"
-    return rep
-
-
 # ---------------------------------------------------------------------------
-# credibility table and l2 independence
+# joint credibility: the credibility table and both independence runs
 # ---------------------------------------------------------------------------
 
-def _l2_sets(cfg: ExperimentConfig, obs):
-    """Gaussian lane: the smoothed H(delta) set (A) and the l2 ball (B)."""
-    return credsets.fit(obs, cfg.prior, _slab(cfg)), (
-        CredibleSetSpec(credsets.H_DELTA_EB), CredibleSetSpec(credsets.L2_BALL))
+def _joint_specs(cfg: ExperimentConfig, basis: BasisSpec) -> tuple:
+    """The set pair (A, B) of the joint loop, chosen by prior as in
+    ``run_coverage``: the smoothed H(delta) set and the l2 ball in the
+    Gaussian lane; under slab-and-spike the two-stage band and the sup-norm
+    ball, both centered at the efficient estimator."""
+    if cfg.prior != "slabspike":
+        return CredibleSetSpec(credsets.H_DELTA_EB), CredibleSetSpec(credsets.L2_BALL)
+    w = WeightSequence.power_law(cfg.weights_eps, basis.max_index)
+    return (CredibleSetSpec(credsets.MULTISCALE_BAND, weights=w,
+                            center_rule=credsets.CENTER_EFFICIENT),
+            CredibleSetSpec(credsets.SUP_BALL, center_rule=credsets.CENTER_EFFICIENT))
 
 
-def _band_sets(cfg: ExperimentConfig, obs):
-    """Slab-and-spike lane: the two-stage band (A) against the sup-norm ball
-    (B), both centered at the efficient estimator."""
-    w = WeightSequence.power_law(cfg.weights_eps, obs.basis.max_index)
-    return credsets.fit(obs, "slabspike", _slab(cfg)), (
-        CredibleSetSpec(credsets.MULTISCALE_BAND, weights=w,
-                        center_rule=credsets.CENTER_EFFICIENT),
-        CredibleSetSpec(credsets.SUP_BALL, center_rule=credsets.CENTER_EFFICIENT))
-
-
-def _joint_masses(cfg: ExperimentConfig, n: float, fit) -> dict:
+def _joint_masses(cfg: ExperimentConfig, n: float) -> dict:
     """Per-gamma lists of (cred_A, cred_B, joint) masses, one per replication.
 
-    ``fit(cfg, obs)`` returns (fitted posterior, (spec_A, spec_B)).  Both
-    sets are calibrated at every gamma on one batch and their memberships
-    counted on a fresh batch of the same size, so the order-statistic bias of
-    same-batch evaluation never enters.  Each batch is reduced block by block
-    to the distances it feeds (``_stream_distances``), so no M x K matrix is
-    held.
+    Both sets of ``_joint_specs`` are calibrated at every gamma on one batch
+    and their memberships counted on a fresh batch of the same size, so the
+    order-statistic bias of same-batch evaluation never enters.  Each batch
+    is reduced block by block to the distances it feeds
+    (``_stream_distances``), so no M x K matrix is held.
     """
     f0 = make_signal(cfg, n)
+    specs = _joint_specs(cfg, f0.basis)
     masses = {g: [] for g in cfg.gamma_list}
     for rep in range(cfg.reps):
         s_obs, s_cal, s_fresh = rep_seeds(cfg.seed, rep, 3)
-        obs = observe(f0, n, s_obs)
-        fitted, specs = fit(cfg, obs)
+        fitted = credsets.fit(observe(f0, n, s_obs), cfg.prior, _slab(cfg))
         sets = [build_set(spec, fitted) for spec in specs]
         calib, fresh = _side_by_side(_stream_distances, [
             (fitted, cfg.draws, s_cal, [cs.measures[0] for cs in sets]),
@@ -402,22 +378,28 @@ def _stream_distances(fitted, M: int, seed: int, measures) -> np.ndarray:
     return out
 
 
-def _joint_row(n, gamma, masses) -> tuple:
-    credA, credB, joint = (float(np.mean([m[i] for m in masses])) for i in range(3))
-    return (n, gamma, credA, credB, joint, credA * credB, (1 - gamma) ** 2)
-
-
-def run_credibility_table(cfg: ExperimentConfig) -> Report:
-    """Average credibility of the smoothed set, the observed joint credibility
-    with the l2 ball, and the independence benchmark (1-gamma)^2."""
+def run_joint(cfg: ExperimentConfig) -> Report:
+    """Average credibility of sets A and B on fresh draws, their observed
+    joint credibility and the independence benchmark (1-gamma)^2, then the
+    total variation between the two conditioned posteriors against gamma.
+    The credibility table names its columns after the Gaussian-lane sets and
+    leaves out the total variation."""
+    table = cfg.experiment == "credibility_table"
     rows = []
     for n in cfg.n_list:
-        masses = _joint_masses(cfg, n, _l2_sets)
-        rows += [_joint_row(n, g, masses[g]) for g in cfg.gamma_list]
-    return Report("credibility_table",
-                  ("n", "gamma", "credibility_smoothed", "credibility_l2",
-                   "joint_credibility", "product_of_marginals", "expected_if_independent"),
-                  rows, _meta(cfg))
+        masses = _joint_masses(cfg, n)
+        for g in cfg.gamma_list:
+            credA, credB, joint = (float(np.mean([m[i] for m in masses[g]])) for i in range(3))
+            row = (n, g, credA, credB, joint, credA * credB, (1 - g) ** 2)
+            if not table:
+                row += (float(np.mean([_tv_from_masses(*m, f"n={n:g} gamma={g} replication {rep}")
+                                       for rep, m in enumerate(masses[g])])), g)
+            rows.append(row)
+    columns = (("credibility_smoothed", "credibility_l2", "joint_credibility",
+                "product_of_marginals", "expected_if_independent") if table else
+               ("cred_A", "cred_B", "joint", "product", "expected_independent",
+                "tv_estimate", "tv_expected"))
+    return Report(cfg.experiment, ("n", "gamma", *columns), rows, _meta(cfg))
 
 
 def _tv_from_masses(pa: float, pb: float, pab: float, where: str) -> float:
@@ -432,29 +414,6 @@ def _tv_from_masses(pa: float, pb: float, pab: float, where: str) -> float:
     return 0.5 * ((pa - pab) / pa + (pb - pab) / pb)
 
 
-def _independence_report(cfg: ExperimentConfig, kind: str, fit) -> Report:
-    rows = []
-    for n in cfg.n_list:
-        masses = _joint_masses(cfg, n, fit)
-        for g in cfg.gamma_list:
-            tv = float(np.mean([_tv_from_masses(*m, f"n={n:g} gamma={g} replication {rep}")
-                                for rep, m in enumerate(masses[g])]))
-            rows.append(_joint_row(n, g, masses[g]) + (tv, g))
-    return Report(kind,
-                  ("n", "gamma", "cred_A", "cred_B", "joint", "product",
-                   "expected_independent", "tv_estimate", "tv_expected"),
-                  rows, _meta(cfg))
-
-
-def run_independence_l2(cfg: ExperimentConfig) -> Report:
-    return _independence_report(cfg, "independence_l2", _l2_sets)
-
-
-def run_independence_multiscale(cfg: ExperimentConfig) -> Report:
-    """Same pipeline under the slab-spike posterior."""
-    return _independence_report(cfg, "independence_multiscale", _band_sets)
-
-
 # ---------------------------------------------------------------------------
 # radius and diameter scaling
 # ---------------------------------------------------------------------------
@@ -466,12 +425,12 @@ def loglog_slope(ns, values) -> float:
 def run_radius_scaling(cfg: ExperimentConfig) -> Report:
     """l2 credible radius at fixed alpha and smoothed-set l2 diameter under
     empirical Bayes, against n; slopes estimated by log-log regression.  Two
-    coverage runs at the first gamma on the same seeds: the empirical-Bayes
+    coverage runs at its one gamma on the same seeds: the empirical-Bayes
     H(delta) set with a diameter every replication, then the fixed-alpha l2
     ball (in the other order the preset ran about 10% slower on 2 vCPUs)."""
-    gamma = cfg.gamma_list[0]
-    eb, fixed = (run_coverage(replace(cfg, experiment="coverage", gamma_list=(gamma,),
-                                      prior=prior, extras=extras)).row_dicts()
+    gamma, = cfg.gamma_list
+    eb, fixed = (run_coverage(replace(cfg, experiment="coverage", prior=prior,
+                                      extras=extras)).row_dicts()
                  for prior, extras in (("eb", {"diam_reps": cfg.reps}),
                                        (cfg.prior, {"variant": credsets.L2_BALL, "diam_reps": 0})))
     mean_radii = [r["mean_radius"] for r in fixed]
@@ -480,7 +439,7 @@ def run_radius_scaling(cfg: ExperimentConfig) -> Report:
     meta = _meta(cfg) | {"radius_slope": loglog_slope(cfg.n_list, mean_radii),
                          "diameter_slope": loglog_slope(cfg.n_list, mean_diams),
                          "theory_slope": -alpha / (2 * alpha + 1)}
-    return Report("radius_scaling",
+    return Report(cfg.experiment,
                   ("n", "gamma", "mean_l2_radius_fixed_alpha", "mean_l2_diameter_eb"),
                   [(n, gamma, r, d) for n, r, d in zip(cfg.n_list, mean_radii, mean_diams)], meta)
 
@@ -525,7 +484,7 @@ def run_negative_bvm(cfg: ExperimentConfig) -> Report:
     meta["median_mass_full_threshold"] = float(np.median([r[5] for r in rows]))
     meta["median_mass_fitted_zone"] = float(np.median([r[6] for r in rows]))
     meta["selfsim_margin"] = margin
-    return Report("negative_bvm",
+    return Report(cfg.experiment,
                   ("rep", "n", "test_position", "test_level", "Mn",
                    "escaping_mass_full_threshold", "escaping_mass_fitted_zone",
                    "selfsim_margin"),
@@ -562,7 +521,7 @@ def run_dirichlet_demo(cfg: ExperimentConfig) -> Report:
     when set; the returned report carries the coverage summary.
     """
     grid = np.linspace(0.0, 1.0, _extras(cfg)["grid_points"])
-    gamma = cfg.gamma_list[0]
+    gamma, = cfg.gamma_list
     rows = []
     for n in cfg.n_list:
         L = dirichlethist.default_resolution(int(n))
@@ -589,7 +548,7 @@ def run_dirichlet_demo(cfg: ExperimentConfig) -> Report:
         p = covered / cfg.reps
         ci = 1.96 * math.sqrt(p * (1 - p) / cfg.reps)
         rows.append((n, L, gamma, p, ci, cfg.reps))
-    return Report("dirichlet_demo",
+    return Report(cfg.experiment,
                   ("n", "L", "gamma", "coverage", "ci_half_width", "replications"),
                   rows, _meta(cfg))
 
@@ -611,82 +570,115 @@ def _emit_dirichlet_envelopes(cfg, n, grid, basis, coefs, mean_coefs, keep, gamm
 
 
 # ---------------------------------------------------------------------------
-# registry, meta, checks
+# meta, --check gates and the experiment table
 # ---------------------------------------------------------------------------
 
 def _meta(cfg: ExperimentConfig) -> dict:
     """The config the experiment ran, with the constants of its credible sets."""
-    skip = ("out_dir", *UNREAD_FIELDS.get(cfg.experiment, ()))
+    skip = ("out_dir", *EXPERIMENTS[cfg.experiment].unread)
     meta = {k: v for k, v in asdict(cfg).items() if k not in skip}
     meta.update(delta=credsets.DEFAULT_DELTA, vn_power=credsets.VN_POWER,
                 K_floor=slabspike.K_FLOOR)
     return meta
 
 
-RUNNERS: dict = {
-    "coverage": run_coverage,
-    "oversmoothing_demo": run_oversmoothing_demo,
-    "credibility_table": run_credibility_table,
-    "independence_l2": run_independence_l2,
-    "independence_multiscale": run_independence_multiscale,
-    "negative_bvm": run_negative_bvm,
-    "dirichlet_demo": run_dirichlet_demo,
-    "radius_scaling": run_radius_scaling,
-}
-
-
 def run_experiment(cfg: ExperimentConfig) -> Report:
-    return RUNNERS[cfg.experiment](cfg)
+    return EXPERIMENTS[cfg.experiment].run(cfg)
 
 
-def check_report(report: Report) -> list:
-    """Per-experiment headline thresholds for the CLI --check flag.
+# The --check gates: each maps a report to (name, ok, detail) triples that
+# mirror the statistical acceptance targets of the experiment behind it.
 
-    Returns (name, ok, detail) triples; these mirror the statistical
-    acceptance targets that apply to the experiment that produced the report.
-    """
+def _coverage_gates(report: Report) -> list:
+    """Criterion 4's window at gamma = 0.05; criterion 8's under slab-and-spike."""
+    lo, hi = (0.90, 1.0) if report.meta["prior"] == "slabspike" else (0.91, 0.99)
+    return [(f"coverage n={r['n']} gamma={r['gamma']}",
+             r["gamma"] != 0.05 or lo <= r["coverage"] <= hi,
+             f"coverage={r['coverage']:.3f}") for r in report.row_dicts()]
+
+
+def _oversmoothing_gates(report: Report) -> list:
+    return [(f"oversmoothing n={r['n']}", r["coverage"] < 0.2,
+             f"coverage={r['coverage']:.3f}") for r in report.row_dicts()]
+
+
+def _table_gates(report: Report) -> list:
     out = []
-    rows = report.row_dicts()
-    if report.kind == "coverage":
-        for r in rows:
-            ok = 0.91 <= r["coverage"] <= 0.99 if r["gamma"] == 0.05 else True
-            out.append((f"coverage n={r['n']} gamma={r['gamma']}", ok,
-                        f"coverage={r['coverage']:.3f}"))
-    elif report.kind == "oversmoothing_demo":
-        for r in rows:
-            out.append((f"oversmoothing n={r['n']}", r["coverage"] < 0.2,
-                        f"coverage={r['coverage']:.3f}"))
-    elif report.kind == "credibility_table":
-        for r in rows:
-            okA = abs(r["credibility_smoothed"] - (1 - r["gamma"])) <= 0.005
-            okJ = abs(r["joint_credibility"] - r["expected_if_independent"]) <= 0.015
-            out.append((f"cred n={r['n']} gamma={r['gamma']}", okA,
-                        f"cred={r['credibility_smoothed']:.4f}"))
-            out.append((f"joint n={r['n']} gamma={r['gamma']}", okJ,
-                        f"joint={r['joint_credibility']:.4f} "
-                        f"expected={r['expected_if_independent']:.4f}"))
-    elif report.kind in ("independence_l2", "independence_multiscale"):
-        tol = 0.02 if report.kind == "independence_l2" else 0.03
-        for r in rows:
-            out.append((f"tv n={r['n']} gamma={r['gamma']}",
-                        abs(r["tv_estimate"] - r["tv_expected"]) <= tol,
-                        f"tv={r['tv_estimate']:.4f}"))
-    elif report.kind == "negative_bvm":
-        m_full = report.meta["median_mass_full_threshold"]
-        m_fit = report.meta["median_mass_fitted_zone"]
-        out.append(("escape full-threshold > 0.9", m_full > 0.9, f"mass={m_full:.3f}"))
-        out.append(("escape fitted-zone < 0.5", m_fit < 0.5, f"mass={m_fit:.3f}"))
-    elif report.kind == "dirichlet_demo":
-        for r in rows:
-            ok = r["coverage"] >= 0.9 if r["n"] >= 5000 else True
-            out.append((f"dirichlet coverage n={r['n']}", ok,
-                        f"coverage={r['coverage']:.3f}"))
-    elif report.kind == "radius_scaling":
-        slope = report.meta["radius_slope"]
-        theory = report.meta["theory_slope"]
-        out.append(("radius slope", abs(slope - theory) <= 0.05,
-                    f"slope={slope:.4f} theory={theory:.4f}"))
-        dslope = report.meta["diameter_slope"]
-        out.append(("diameter slope", abs(dslope - (-1.0 / 3.0)) <= 0.08,
-                    f"slope={dslope:.4f}"))
+    for r in report.row_dicts():
+        out.append((f"cred n={r['n']} gamma={r['gamma']}",
+                    abs(r["credibility_smoothed"] - (1 - r["gamma"])) <= 0.005,
+                    f"cred={r['credibility_smoothed']:.4f}"))
+        out.append((f"joint n={r['n']} gamma={r['gamma']}",
+                    abs(r["joint_credibility"] - r["expected_if_independent"]) <= 0.015,
+                    f"joint={r['joint_credibility']:.4f} "
+                    f"expected={r['expected_if_independent']:.4f}"))
     return out
+
+
+def _tv_gates(report: Report, tol: float) -> list:
+    return [(f"tv n={r['n']} gamma={r['gamma']}", abs(r["tv_estimate"] - r["tv_expected"]) <= tol,
+             f"tv={r['tv_estimate']:.4f}") for r in report.row_dicts()]
+
+
+def _negative_bvm_gates(report: Report) -> list:
+    """Criterion 9: the escaping masses and the self-similarity margin."""
+    full, fit, margin = (report.meta[k] for k in (
+        "median_mass_full_threshold", "median_mass_fitted_zone", "selfsim_margin"))
+    return [("escape full-threshold > 0.9", full > 0.9, f"mass={full:.3f}"),
+            ("escape fitted-zone < 0.5", fit < 0.5, f"mass={fit:.3f}"),
+            ("selfsim margin >= 0.9", margin >= 0.9, f"margin={margin:.3f}")]
+
+
+def _dirichlet_gates(report: Report) -> list:
+    return [(f"dirichlet coverage n={r['n']}", r["n"] < 5000 or r["coverage"] >= 0.9,
+             f"coverage={r['coverage']:.3f}") for r in report.row_dicts()]
+
+
+def _scaling_gates(report: Report) -> list:
+    slope, theory, dslope = (report.meta[k] for k in (
+        "radius_slope", "theory_slope", "diameter_slope"))
+    return [("radius slope", abs(slope - theory) <= 0.05,
+             f"slope={slope:.4f} theory={theory:.4f}"),
+            ("diameter slope", abs(dslope - (-1.0 / 3.0)) <= 0.08, f"slope={dslope:.4f}")]
+
+
+EXPERIMENTS = {
+    "coverage": Experiment(
+        "coverage", run_coverage, _coverage_gates,
+        dict(n_list=(2000,), gamma_list=(0.05,), draws=1000, reps=200), extras=_COVERAGE_KEYS),
+    "credibility_table": Experiment(
+        "cred-table", run_joint, _table_gates,
+        dict(n_list=(500, 2000), gamma_list=(0.05, 0.10, 0.15, 0.20), draws=2000, reps=20),
+        priors=_GAUSSIAN),
+    "independence_l2": Experiment(
+        "indep-l2", run_joint, partial(_tv_gates, tol=0.02),
+        dict(n_list=(2000,), gamma_list=(0.05, 0.20), draws=2000, reps=20), priors=_GAUSSIAN),
+    "independence_multiscale": Experiment(
+        "indep-ms", run_joint, partial(_tv_gates, tol=0.03),
+        dict(n_list=(2000,), gamma_list=(0.05, 0.10), draws=1000, reps=10, prior="slabspike",
+             signal="truncated_laplace:0.5:5.0"), priors=("slabspike",)),
+    "negative_bvm": Experiment(
+        "neg-bvm", run_negative_bvm, _negative_bvm_gates,
+        dict(n_list=(), gamma_list=(0.05,), draws=1000, reps=5, signal="holder_spike", tau=4.0),
+        extras={"beta": (float, 1.0, *_POSITIVE), "R": (float, 2.0, *_POSITIVE),
+                "r": (float, 0.95, *_POSITIVE),
+                "test_m": (int, 2, lambda v: 1 <= v <= N_M_LEN, f"in 1..{N_M_LEN}"),
+                "subseq_base": (float, 1e4, lambda v: v > 1, "> 1"),
+                "subseq_ratio": (float, 10.0, lambda v: v > 1, "> 1")},
+        fields=("tau",), unread=("n_list", "gamma_list", "prior", "signal"),
+        validate=lambda cfg: _subsequence(_extras(cfg))),
+    "dirichlet_demo": Experiment(
+        "dirichlet", run_dirichlet_demo, _dirichlet_gates,
+        dict(n_list=(1000, 2000, 5000, 10000), gamma_list=(0.05,), draws=2000, reps=100,
+             signal="truncated_laplace:0.5:5.0", weights_eps=0.1),
+        extras={"grid_points": (int, 257, lambda v: v >= 2, ">= 2")},
+        fields=("weights_eps",), unread=("prior", "signal"), validate=_one_gamma),
+    "radius_scaling": Experiment(
+        "radius-scaling", run_radius_scaling, _scaling_gates,
+        dict(n_list=(500, 2000, 8000), gamma_list=(0.05,), draws=2000, reps=10, prior="fixed:1.0"),
+        priors=("fixed",), validate=_slope_levels),
+    "oversmoothing_demo": Experiment(
+        "oversmooth", run_coverage, _oversmoothing_gates,
+        dict(n_list=(2000,), gamma_list=(0.05,), draws=1000, reps=200, prior="fixed:3.0"),
+        priors=("fixed",), extras=_COVERAGE_KEYS),
+}

@@ -74,7 +74,7 @@ def test_criterion_10_oracle_suites(tmp_path):
         cfg = hz.ExperimentConfig.defaults("credibility_table")
         cfg.n_list, cfg.reps, cfg.draws, cfg.gamma_list = (200,), 2, 40, (0.1,)
         path = tmp_path / f"d{run}.csv"
-        hz.emit(hz.run_credibility_table(cfg), str(path))
+        hz.emit(hz.run_experiment(cfg), str(path))
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
     det_ok = digests[0] == digests[1]
 
@@ -97,7 +97,7 @@ def l2_table():
     cfg.draws = 2000
     cfg.reps = 20
     cfg.seed = MASTER_SEED
-    rep = hz.run_independence_l2(cfg)
+    rep = hz.run_experiment(cfg)
     return {r["gamma"]: r for r in rep.row_dicts()}
 
 
@@ -199,7 +199,7 @@ def test_criterion_4_oversmoothing_collapse():
     cfg.reps, cfg.draws = 100, 500
     cfg.seed = MASTER_SEED
     cfg.extras["diam_reps"] = 0
-    cov = hz.run_oversmoothing_demo(cfg).row_dicts()[0]["coverage"]
+    cov = hz.run_experiment(cfg).row_dicts()[0]["coverage"]
     report("criterion-4 oversmoothing", cov < 0.2, f"coverage={cov:.4f}")
     assert cov < 0.2
 
@@ -338,7 +338,7 @@ def test_multiscale_independence_targets():
     cfg.n_list, cfg.gamma_list = (2000,), (0.05, 0.10)
     cfg.reps, cfg.draws = 10, 1000
     cfg.seed = MASTER_SEED
-    rows = {r["gamma"]: r for r in hz.run_independence_multiscale(cfg).row_dicts()}
+    rows = {r["gamma"]: r for r in hz.run_experiment(cfg).row_dicts()}
     ok = True
     for gamma in (0.05, 0.10):
         row = rows[gamma]

@@ -55,7 +55,7 @@ def test_end_to_end_determinism_checksums(tmp_path):
     for run in range(2):
         cfg = tiny_cfg("credibility_table", reps=2, draws=40,
                        gamma_list=(0.1,))
-        report = hz.run_credibility_table(cfg)
+        report = hz.run_experiment(cfg)
         p = tmp_path / f"t{run}.csv"
         hz.emit(report, str(p))
         digests.append(hashlib.sha256(p.read_bytes()).hexdigest())
@@ -210,7 +210,7 @@ def test_config_validation():
 def test_oversmoothing_demo_leaves_config_unchanged():
     cfg = tiny_cfg("oversmoothing_demo", reps=1, draws=30, prior="fixed:2.5")
     before = copy.deepcopy(cfg)
-    rep = hz.run_oversmoothing_demo(cfg)
+    rep = hz.run_experiment(cfg)
     assert rep.kind == "oversmoothing_demo" and rep.meta["prior"] == "fixed:2.5"
     assert cfg == before
 
@@ -236,7 +236,7 @@ def test_every_runner_produces_rows(tmp_path):
     assert "radius_slope" in rep.meta
     cfg = tiny_cfg("independence_multiscale", n_list=(200,), reps=2,
                    draws=60, gamma_list=(0.2,))
-    rep = hz.run_independence_multiscale(cfg)
+    rep = hz.run_experiment(cfg)
     assert rep.rows[0][4] <= min(rep.rows[0][2], rep.rows[0][3])  # joint <= min
     cfg = tiny_cfg("dirichlet_demo", n_list=(500,), reps=3, draws=100)
     cfg.out_dir = str(tmp_path)
@@ -286,11 +286,11 @@ def test_streamed_draws_and_distances_equal_the_matrix(prior):
     # support columns, so blocks hold 128 rows.  M = 37, 200 and 2001 draws
     # end in a partial block either way.
     if prior == "slabspike":
-        cfg, sets = tiny_cfg("independence_multiscale", n_list=(2000,)), hz._band_sets
+        cfg = tiny_cfg("independence_multiscale", n_list=(2000,))
     else:
-        cfg, sets = tiny_cfg("independence_l2", n_list=(2000,), prior=prior), hz._l2_sets
+        cfg = tiny_cfg("independence_l2", n_list=(2000,), prior=prior)
     obs = sm.observe(hz.make_signal(cfg, 2000), 2000, 5)
-    fitted, specs = sets(cfg, obs)
+    fitted, specs = cset.fit(obs, cfg.prior, hz._slab(cfg)), hz._joint_specs(cfg, obs.basis)
     width, step = (2048, 128) if prior == "slabspike" else (2 ** 14, 16)
     assert obs.y.size == 2 ** 14 and sm.block_rows(width) == step
     measures = [m for spec in specs for m in cset.build_set(spec, fitted).measures]
@@ -312,7 +312,7 @@ def test_joint_loop_holds_no_draw_matrix():
                    prior="fixed:1.0", gamma_list=(0.05,))
     tracemalloc.start()
     try:
-        hz.run_independence_l2(cfg)
+        hz.run_experiment(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -336,7 +336,7 @@ def test_slab_coverage_holds_no_basis_wide_draw_matrix():
 def test_joint_never_exceeds_marginals():
     cfg = tiny_cfg("independence_l2", n_list=(300,), reps=2, draws=80,
                    gamma_list=(0.1, 0.3))
-    rep = hz.run_independence_l2(cfg)
+    rep = hz.run_experiment(cfg)
     for r in rep.row_dicts():
         assert r["joint"] <= min(r["cred_A"], r["cred_B"]) + 1e-12
 
@@ -412,6 +412,28 @@ def test_cli_rejects_flags_the_experiment_never_reads(tmp_path, capsys, argv, un
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {argv[0]} does not read {unread}")
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    # both read a single gamma, and the report meta states the whole list
+    (["radius-scaling", "--n", "200,400", "--gamma", "0.05,0.1"],
+     "radius_scaling reads one gamma, not 2"),
+    (["dirichlet", "--n", "1000", "--gamma", "0.05,0.1"], "dirichlet_demo reads one gamma, not 2"),
+    # each joint experiment runs one lane: the band pair or the Gaussian pair
+    (["indep-ms", "--n", "200", "--prior", "eb"],
+     "independence_multiscale reads only slabspike priors, not 'eb'"),
+    (["indep-ms", "--n", "200", "--prior", "fixed:2"],
+     "independence_multiscale reads only slabspike priors, not 'fixed:2'"),
+    (["indep-l2", "--n", "200", "--prior", "slabspike", "--signal", "truncated_laplace:0.5:5.0"],
+     "independence_l2 reads only eb | hb | fixed:<alpha> priors, not 'slabspike'"),
+    (["cred-table", "--n", "200", "--prior", "slabspike"],
+     "credibility_table reads only eb | hb | fixed:<alpha> priors, not 'slabspike'"),
+])
+def test_cli_rejects_what_the_experiment_does_not_run(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--draws", "40", "--reps", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_unread_config_key_is_rejected(tmp_path, capsys):
@@ -612,8 +634,8 @@ def test_every_config_field_is_settable():
     fields = {f.name for f in dataclasses.fields(hz.ExperimentConfig) if f.name != "experiment"}
     assert sorted(fields - reached) == []
     keys = {flag for flag, _, _ in cli.FLAGS}
-    for table in (hz.EXTRAS, hz.FIELD_KEYS):
-        keys |= {key for spec in table.values() for key in spec}
+    for exp in hz.EXPERIMENTS.values():
+        keys |= {*exp.extras, *exp.fields}
     assert keys == set(VALID_VALUES)
 
 
@@ -640,7 +662,7 @@ def test_any_config_line_is_rejected_or_typed_and_in_range(command, key, value):
     assert type(cfg.tau) is float and type(cfg.weights_eps) is float
     assert 0.5 < cfg.tau < math.inf and 0 < cfg.weights_eps < math.inf
     for name, value in cfg.extras.items():
-        parse, _, valid, _ = hz.EXTRAS[cfg.experiment][name]
+        parse, _, valid, _ = hz.EXPERIMENTS[cfg.experiment].extras[name]
         assert type(value) is parse and valid(value)
         assert parse is not float or math.isfinite(value)
     if "test_m" in cfg.extras:
@@ -661,3 +683,27 @@ def test_cli_check_pass_exits_0(tmp_path):
     rc = cli.main(["neg-bvm", "--draws", "200", "--reps", "2",
                    "--out", str(tmp_path), "--check"])
     assert rc == 0
+
+
+def test_check_gates_follow_the_lane_and_the_acceptance_targets(tmp_path, capsys):
+    # slab-and-spike coverage is gated by criterion 8's window [0.90, 1.0],
+    # the Gaussian lane by criterion 4's [0.91, 0.99]
+    rc = cli.main(["coverage", "--prior", "slabspike", "--signal", "truncated_laplace:0.5:5.0",
+                   "--n", "2000", "--draws", "800", "--reps", "4", "--out", str(tmp_path),
+                   "--check"])
+    assert rc == 0
+    assert "PASS coverage n=2000.0 gamma=0.05: coverage=1.000\n" in capsys.readouterr().out
+    gates = hz.EXPERIMENTS["coverage"].gates
+    row = [(2000.0, 0.05, 1.0, 0.0, 1.0, 1.0, 1.0, 4)]
+    columns = ("n", "gamma", "coverage", "ci_half_width", "mean_radius", "mean_diameter",
+               "mean_alpha", "replications")
+    eb_report = hz.Report("coverage", columns, row, {"prior": "eb"})
+    assert [ok for _, ok, _ in gates(eb_report)] == [False]
+    # criterion 9 also asks for a self-similarity margin of at least 0.9
+    assert cli.main(["neg-bvm", "--draws", "200", "--reps", "2", "--out", str(tmp_path),
+                     "--check"]) == 0
+    assert "PASS selfsim margin >= 0.9: margin=" in capsys.readouterr().out
+    meta = {"median_mass_full_threshold": 1.0, "median_mass_fitted_zone": 0.0,
+            "selfsim_margin": 0.85}
+    assert [ok for _, ok, _ in hz.EXPERIMENTS["negative_bvm"].gates(
+        hz.Report("negative_bvm", (), [], meta))] == [True, True, False]
