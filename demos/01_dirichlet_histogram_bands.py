@@ -24,7 +24,7 @@ def main():
     cfg.reps = 50
     cfg.draws = 4000
     cfg.out_dir = OUT
-    report = hz.run_dirichlet_demo(cfg)
+    report = hz.run_experiment(cfg)
     path = hz.emit(report, os.path.join(OUT, "coverage_summary.csv"))
     print(f"coverage summary -> {path}")
     for row in report.row_dicts():

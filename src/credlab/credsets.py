@@ -17,13 +17,15 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import gaussprior, seqmodel, slabspike
+from . import dirichlethist, gaussprior, seqmodel, slabspike
+from .dirichlethist import DirichletPosterior
 from .gaussprior import AlphaPosterior, HyperPosterior
 from .seqmodel import (
     BasisSpec,
     NormSpec,
     NoisyObservation,
     WeightSequence,
+    block_rows,
     haar_cell_values,
     norm,
     wavelet_levels,
@@ -82,25 +84,31 @@ class FittedPosterior:
 
     ``alpha_hat`` is the fitted smoothness: alpha itself for a fixed-alpha
     prior, the likelihood maximizer under empirical Bayes, the hyperposterior
-    median under hierarchical Bayes, and None for slab-and-spike.
-    ``threshold`` and ``efficient_center`` exist for slab-and-spike only.
+    median under hierarchical Bayes, and None for slab-and-spike and the
+    Dirichlet histogram, which fit none.  ``threshold`` and
+    ``efficient_center`` exist for slab-and-spike only.
     """
 
     obs: NoisyObservation
-    post: Union[AlphaPosterior, HyperPosterior, SlabSpikePosterior]
+    post: Union[AlphaPosterior, HyperPosterior, SlabSpikePosterior, DirichletPosterior]
     posterior_mean: np.ndarray
     alpha_hat: Optional[float] = None
     threshold: Optional[ThresholdEstimate] = None
     efficient_center: Optional[np.ndarray] = None
 
-    def sample(self, M: int, seed: int) -> gaussprior.PosteriorDrawSet:
+    def sample(self, M: int, seed) -> gaussprior.PosteriorDrawSet:
         """M draws as an M x K matrix, K the basis size; a slab-and-spike
         matrix holds only its 2^(Jn+1) support columns, the zeros past
-        them left out, which ``seqmodel.norm`` reads as zero-padded."""
+        them left out, which ``seqmodel.norm`` reads as zero-padded.  Under
+        a fixed alpha and for the histogram, ``seed`` may be a Generator."""
         if isinstance(self.post, SlabSpikePosterior):
             return slabspike.sample(self.post, M, seed)
         if isinstance(self.post, HyperPosterior):
             return gaussprior.sample_hierarchical(self.post, self.obs, M, seed)
+        if isinstance(self.post, DirichletPosterior):
+            heights = dirichlethist.sample_heights(self.post, M, seed)
+            return gaussprior.PosteriorDrawSet(
+                dirichlethist.haar_coefficients(heights, self.obs.basis.max_index + 1))
         return gaussprior.sample(self.post, M, seed)
 
     def blocks(self, M: int, seed: int):
@@ -111,13 +119,19 @@ class FittedPosterior:
             return slabspike.sample_blocks(self.post, M, seed)
         if isinstance(self.post, HyperPosterior):
             return gaussprior.hierarchical_blocks(self.post, self.obs, M, seed)
-        return gaussprior.sample_blocks(self.post, M, seed)
+        rng = np.random.default_rng(seed)
+        step = block_rows(self.obs.basis.size)
+        return (self.sample(min(step, M - start), rng).draws for start in range(0, M, step))
 
 
 def fit(obs: NoisyObservation, prior: str,
         slab: SlabSpikeConfig = SlabSpikeConfig()) -> FittedPosterior:
-    """Fit ``prior`` to ``obs``: eb, hb, fixed:<alpha>, or slabspike with
-    the prior layout ``slab``."""
+    """Fit ``prior`` to ``obs``: eb, hb, fixed:<alpha>, slabspike with the
+    prior layout ``slab``, or dirichlet to the bin counts ``obs.y``."""
+    if prior == "dirichlet":
+        post = dirichlethist.posterior(obs.y)
+        L = obs.basis.max_index + 1
+        return FittedPosterior(obs, post, dirichlethist.haar_coefficients(post.mean_heights(), L))
     if prior == "slabspike":
         post = slabspike.posterior(obs, slab)
         est = slabspike.posterior_median(post)

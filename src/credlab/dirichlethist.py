@@ -1,6 +1,7 @@
 """Dirichlet histogram density demo: conjugate posterior from iid samples of
 the truncated Laplace density, with exact Haar coefficient extraction for the
-multiscale credible set of the introduction example.
+multiscale credible set of the introduction example; ``credsets.fit`` fits
+it to the bin counts of ``observe_counts``.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqmodel import BasisSpec, HAAR_WAVELET, TruncatedLaplace
+from .seqmodel import BasisSpec, HAAR_WAVELET, NoisyObservation, TruncatedLaplace
 
 TRUTH = (0.5, 5.0)            # (loc, scale) of the truncated Laplace truth
 RESOLUTION_SMOOTHNESS = 1.4   # the truth lies in L2-Sobolev just below 3/2
@@ -19,7 +20,6 @@ RESOLUTION_SMOOTHNESS = 1.4   # the truth lies in L2-Sobolev just below 3/2
 @dataclass(frozen=True)
 class DirichletPosterior:
     concentrations: np.ndarray
-    sample_size: int
 
     def __post_init__(self):
         c = np.asarray(self.concentrations, dtype=float)
@@ -60,16 +60,23 @@ def bin_counts(samples, L: int) -> np.ndarray:
     return np.bincount(idx, minlength=2 ** L)
 
 
+def observe_counts(n: int, L: int, seed: int) -> NoisyObservation:
+    """Counts of n iid draws from ``TRUTH`` over the 2^L bins, held exactly as
+    the observation y on the basis ``haar_basis_for(L)``."""
+    counts = bin_counts(sample_iid_laplace(n, seed), L)
+    return NoisyObservation(haar_basis_for(L), counts, float(n), int(seed))
+
+
 def posterior(counts) -> DirichletPosterior:
     c = np.asarray(counts)
     if np.any(c < 0):
         raise ValueError("counts must be nonnegative")
-    return DirichletPosterior(1.0 + c.astype(float), int(c.sum()))
+    return DirichletPosterior(1.0 + c.astype(float))
 
 
-def sample_heights(post: DirichletPosterior, M: int, seed: int) -> np.ndarray:
+def sample_heights(post: DirichletPosterior, M: int, seed) -> np.ndarray:
     """M rows of simplex heights h; each histogram 2^L sum h_k 1_bin integrates
-    to one exactly."""
+    to one exactly.  ``seed`` is an int or a numpy Generator, used as is."""
     rng = np.random.default_rng(seed)
     return rng.dirichlet(post.concentrations, size=M)
 

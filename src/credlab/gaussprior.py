@@ -175,17 +175,6 @@ def sample(post: AlphaPosterior, M: int, seed) -> PosteriorDrawSet:
     return PosteriorDrawSet(draws)
 
 
-def sample_blocks(post: AlphaPosterior, M: int, seed: int):
-    """The rows of ``sample(post, M, seed)`` as consecutive blocks of
-    ``block_rows`` rows, each drawn by ``sample`` from one Generator."""
-    if M < 1:
-        raise ValueError("need at least one draw")
-    rng = np.random.default_rng(seed)
-    step = block_rows(post.means.size)
-    for start in range(0, M, step):
-        yield sample(post, min(step, M - start), rng).draws
-
-
 # ---------------------------------------------------------------------------
 # hierarchical Bayes over alpha
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -73,7 +73,7 @@ class ExperimentConfig:
     draws: int = 2000
     reps: int = 20
     seed: int = 20240601
-    prior: str = "eb"                      # eb | hb | fixed:<alpha> | slabspike
+    prior: str = "eb"                      # eb | hb | fixed:<alpha> | slabspike | dirichlet
     signal: str = "power_sine:1.5:1.0"
     weights_eps: float = 0.5               # multiscale weights w_l = l^(1/2+eps)
     tau: float = 1.0                       # slab weights decay like 2^{-j(1+tau)}
@@ -96,7 +96,7 @@ class ExperimentConfig:
             raise ValueError("tau must be finite and exceed 1/2, weights_eps finite and positive")
         kind, _, alpha = self.prior.partition(":")
         try:
-            known = (self.prior in ("eb", "hb", "slabspike")
+            known = (self.prior in ("eb", "hb", "slabspike", "dirichlet")
                      or kind == "fixed" and 0 <= float(alpha) < math.inf)
         except ValueError:
             known = False
@@ -106,6 +106,8 @@ class ExperimentConfig:
         if kind not in exp.priors:
             forms = " | ".join("fixed:<alpha>" if p == "fixed" else p for p in exp.priors)
             raise ValueError(f"{self.experiment} reads only {forms} priors, not {self.prior!r}")
+        if "signal" not in exp.unread:
+            parse_signal(self.signal)
         unknown = sorted(set(self.extras) - set(exp.extras))
         if unknown:
             keys = [*exp.extras, *exp.fields]
@@ -156,6 +158,15 @@ def _one_gamma(cfg: ExperimentConfig):
     """An experiment that reads one gamma rejects a second."""
     if len(cfg.gamma_list) > 1:
         raise ValueError(f"{cfg.experiment} reads one gamma, not {len(cfg.gamma_list)}")
+
+
+def _sample_sizes(cfg: ExperimentConfig):
+    """The histogram reads one gamma, and each n is a count of iid samples."""
+    _one_gamma(cfg)
+    fractional = [n for n in cfg.n_list if not float(n).is_integer()]
+    if fractional:
+        raise ValueError(f"{cfg.experiment} draws n iid samples, so n must be an integer "
+                         f">= 2, not {fractional[0]:g}")
 
 
 def _slope_levels(cfg: ExperimentConfig):
@@ -232,58 +243,107 @@ def _uncsvify(v: str):
 # shared fitting helpers
 # ---------------------------------------------------------------------------
 
-def make_signal(cfg: ExperimentConfig, n: float):
-    """Instantiate the configured signal at the default truncation for n."""
-    parts = cfg.signal.split(":")
-    name = parts[0]
-    if name == "power_sine":
-        basis = BasisSpec(seqmodel.FOURIER_SINE, seqmodel.default_fourier_truncation(n))
-        return seqmodel.power_sine_signal(float(parts[1]), float(parts[2]), basis)
-    if name == "truncated_laplace":
-        basis = BasisSpec(seqmodel.HAAR_WAVELET, seqmodel.default_wavelet_truncation(n))
-        return seqmodel.truncated_laplace_signal(float(parts[1]), float(parts[2]), basis)
-    raise ValueError(f"unsupported signal {cfg.signal!r} for this experiment")
+def parse_signal(text: str) -> tuple:
+    """(name, a, b) of a signal ``power_sine:<a>:<b>`` or
+    ``truncated_laplace:<loc>:<scale>``, a and b finite."""
+    name, *params = text.split(":")
+    try:
+        a, b = (float(p) for p in params)
+        if name in ("power_sine", "truncated_laplace") and math.isfinite(a) and math.isfinite(b):
+            return name, a, b
+    except ValueError:
+        pass
+    raise ValueError(f"unsupported signal {text!r}: the forms are power_sine:<a>:<b> and "
+                     "truncated_laplace:<loc>:<scale>, with finite numbers")
 
 
 def _slab(cfg: ExperimentConfig) -> slabspike.SlabSpikeConfig:
     return slabspike.SlabSpikeConfig(tau=cfg.tau)
 
 
+class Lane(NamedTuple):
+    """What a replication in one prior family's lane reads at one n: the
+    truth, on the basis the lane uses; ``observe(seed)``, which draws the
+    data; the default coverage set; the norm of the coverage diameters; and
+    the joint pair (A, B), where the family has one."""
+
+    truth: seqmodel.SignalCoefficients
+    observe: Callable
+    coverage: CredibleSetSpec
+    diameter_norm: NormSpec
+    joint: tuple = ()
+
+
+def lane(cfg: ExperimentConfig, n) -> Lane:
+    """The lane of ``cfg.prior`` at n, the one place a lane is chosen.  The
+    Gaussian priors observe the configured signal in the sequence model and
+    build the smoothed H(delta) set, paired with the l2 ball; slab-and-spike
+    the two-stage band, paired with the sup-norm ball at the efficient
+    estimator; the Dirichlet histogram bins iid samples of the truncated
+    Laplace density and builds the multiscale ball at the posterior mean.
+    ``observe`` is looked up when a lane observes, so a wrapper sees it."""
+    kind = cfg.prior.partition(":")[0]
+    if kind == "dirichlet":
+        L = dirichlethist.default_resolution(int(n))
+        basis = dirichlethist.haar_basis_for(L)
+        w = WeightSequence.power_law(cfg.weights_eps, basis.max_index)
+        return Lane(seqmodel.truncated_laplace_signal(*dirichlethist.TRUTH, basis),
+                    lambda seed: dirichlethist.observe_counts(int(n), L, seed),
+                    CredibleSetSpec(credsets.MULTISCALE_BALL, credsets.CENTER_POSTERIOR_MEAN, w),
+                    NormSpec.sup())
+    name, a, b = parse_signal(cfg.signal)
+    if name == "power_sine":
+        basis = BasisSpec(seqmodel.FOURIER_SINE, seqmodel.default_fourier_truncation(n))
+        f0 = seqmodel.power_sine_signal(a, b, basis)
+    else:
+        basis = BasisSpec(seqmodel.HAAR_WAVELET, seqmodel.default_wavelet_truncation(n))
+        f0 = seqmodel.truncated_laplace_signal(a, b, basis)
+
+    def sequence_data(seed):
+        return observe(f0, n, seed)
+
+    if kind != "slabspike":
+        return Lane(f0, sequence_data, CredibleSetSpec(credsets.H_DELTA_EB), NormSpec.l2(),
+                    (CredibleSetSpec(credsets.H_DELTA_EB), CredibleSetSpec(credsets.L2_BALL)))
+    w = WeightSequence.power_law(cfg.weights_eps, f0.basis.max_index)
+    return Lane(f0, sequence_data, CredibleSetSpec(credsets.MULTISCALE_BAND, weights=w),
+                NormSpec.sup(),
+                (CredibleSetSpec(credsets.MULTISCALE_BAND, credsets.CENTER_EFFICIENT, w),
+                 CredibleSetSpec(credsets.SUP_BALL, credsets.CENTER_EFFICIENT)))
+
+
 # ---------------------------------------------------------------------------
 # coverage
 # ---------------------------------------------------------------------------
 
-def run_coverage(cfg: ExperimentConfig) -> Report:
+def run_coverage(cfg: ExperimentConfig, sidecar: Optional[Callable] = None) -> Report:
     """Frequentist coverage of a credible-set variant over replications.
 
     Per replication: fresh observation, prior fit and one draw batch, on
     which the set is calibrated at every level, then membership of the true
     signal in each.  The diameters read the batch's member draws, so the
     batch is drawn as a matrix, and a set that keeps fewer than two draws
-    raises.  Gaussian-lane variants default to the smoothness-intersected
-    H(delta) set; the slab-spike prior builds the two-stage multiscale band.
-    The report's kind is the experiment run (``oversmooth`` runs this too).
+    raises; an experiment without ``diam_reps`` draws none.  The prior's
+    ``lane`` gives the truth, the data, the default set and the diameter
+    norm.  ``sidecar(n, fitted, draws, inside)``, when given, reads each n's
+    replication 0 and the mask of its draws within the first gamma's radius.
+    The report's kind is the experiment run (``oversmooth`` and ``dirichlet``
+    run this too).
     """
     extras = _extras(cfg)
-    variant, diam_reps = extras["variant"], extras["diam_reps"]
-    band = cfg.prior == "slabspike"
-    dn = NormSpec.sup() if band else NormSpec.l2()
+    variant, diam_reps = extras.get("variant"), extras.get("diam_reps", 0)
     rows = []
     for n in cfg.n_list:
-        f0 = make_signal(cfg, n)
-        if band:
-            w = WeightSequence.power_law(cfg.weights_eps, f0.basis.max_index)
-            spec = CredibleSetSpec(variant or credsets.MULTISCALE_BAND, weights=w)
-        else:
-            spec = CredibleSetSpec(variant or credsets.H_DELTA_EB)
+        ln = lane(cfg, n)
+        f0 = ln.truth
+        spec = replace(ln.coverage, variant=variant) if variant else ln.coverage
         hits = [0] * len(cfg.gamma_list)
         radii, diams = ([[] for _ in cfg.gamma_list] for _ in range(2))
         alphas = []
         for rep in range(cfg.reps):
             s_obs, s_cal = rep_seeds(cfg.seed, rep, 2)
-            obs = observe(f0, n, s_obs)
-            fitted = credsets.fit(obs, cfg.prior, _slab(cfg))
-            if not band:
+            fitted = credsets.fit(ln.observe(s_obs), cfg.prior, _slab(cfg))
+            if fitted.alpha_hat is not None:
                 alphas.append(fitted.alpha_hat)
             cset = build_set(spec, fitted)
             draws = fitted.sample(cfg.draws, s_cal).draws
@@ -293,13 +353,16 @@ def run_coverage(cfg: ExperimentConfig) -> Report:
             for i, radius in enumerate(level_radii):
                 radii[i].append(radius)
                 hits[i] += cset.contains(f0.coeffs, radius).member
+            if rep == 0 and sidecar is not None:
+                sidecar(n, fitted, draws, dist[0] <= level_radii[0])
             if rep < diam_reps:
                 for i, inside in enumerate(cset.membership(dist, level_radii)):
                     if np.count_nonzero(inside) < 2:
                         raise ValueError(f"n={n:g} gamma={cfg.gamma_list[i]} replication {rep}: "
                                          "the set keeps fewer than the two draws a diameter "
                                          "needs; use more draws or a smaller gamma")
-                    diams[i].append(diameter_estimate(draws, dn, f0.basis, rows=inside))
+                    diams[i].append(diameter_estimate(draws, ln.diameter_norm, f0.basis,
+                                                      rows=inside))
         for i, gamma in enumerate(cfg.gamma_list):
             p = hits[i] / cfg.reps
             ci = 1.96 * math.sqrt(p * (1 - p) / cfg.reps)
@@ -316,35 +379,21 @@ def run_coverage(cfg: ExperimentConfig) -> Report:
 # joint credibility: the credibility table and both independence runs
 # ---------------------------------------------------------------------------
 
-def _joint_specs(cfg: ExperimentConfig, basis: BasisSpec) -> tuple:
-    """The set pair (A, B) of the joint loop, chosen by prior as in
-    ``run_coverage``: the smoothed H(delta) set and the l2 ball in the
-    Gaussian lane; under slab-and-spike the two-stage band and the sup-norm
-    ball, both centered at the efficient estimator."""
-    if cfg.prior != "slabspike":
-        return CredibleSetSpec(credsets.H_DELTA_EB), CredibleSetSpec(credsets.L2_BALL)
-    w = WeightSequence.power_law(cfg.weights_eps, basis.max_index)
-    return (CredibleSetSpec(credsets.MULTISCALE_BAND, weights=w,
-                            center_rule=credsets.CENTER_EFFICIENT),
-            CredibleSetSpec(credsets.SUP_BALL, center_rule=credsets.CENTER_EFFICIENT))
-
-
 def _joint_masses(cfg: ExperimentConfig, n: float) -> dict:
     """Per-gamma lists of (cred_A, cred_B, joint) masses, one per replication.
 
-    Both sets of ``_joint_specs`` are calibrated at every gamma on one batch
-    and their memberships counted on a fresh batch of the same size, so the
-    order-statistic bias of same-batch evaluation never enters.  Each batch
-    is reduced block by block to the distances it feeds
+    Both sets of the lane's joint pair are calibrated at every gamma on one
+    batch and their memberships counted on a fresh batch of the same size,
+    so the order-statistic bias of same-batch evaluation never enters.  Each
+    batch is reduced block by block to the distances it feeds
     (``_stream_distances``), so no M x K matrix is held.
     """
-    f0 = make_signal(cfg, n)
-    specs = _joint_specs(cfg, f0.basis)
+    ln = lane(cfg, n)
     masses = {g: [] for g in cfg.gamma_list}
     for rep in range(cfg.reps):
         s_obs, s_cal, s_fresh = rep_seeds(cfg.seed, rep, 3)
-        fitted = credsets.fit(observe(f0, n, s_obs), cfg.prior, _slab(cfg))
-        sets = [build_set(spec, fitted) for spec in specs]
+        fitted = credsets.fit(ln.observe(s_obs), cfg.prior, _slab(cfg))
+        sets = [build_set(spec, fitted) for spec in ln.joint]
         calib, fresh = _side_by_side(_stream_distances, [
             (fitted, cfg.draws, s_cal, [cs.measures[0] for cs in sets]),
             (fitted, cfg.draws, s_fresh, [m for cs in sets for m in cs.measures])])
@@ -514,54 +563,30 @@ def _escaping_mass(post, obs, w: WeightSequence, radius: float, M: int,
 # ---------------------------------------------------------------------------
 
 def run_dirichlet_demo(cfg: ExperimentConfig) -> Report:
-    """Histogram-prior pipeline: multiscale credible set coverage of the
-    truncated Laplace truth plus band envelopes for plotting.
-
-    Envelope CSVs (x, lower, upper, mean, truth) per n land in ``out_dir``
-    when set; the returned report carries the coverage summary.
-    """
+    """Histogram-prior pipeline: ``run_coverage`` in the Dirichlet lane,
+    with its own columns, plus band envelopes for plotting: CSVs (x, lower,
+    upper, mean, truth) per n from replication 0's draws, in ``out_dir``
+    when set."""
     grid = np.linspace(0.0, 1.0, _extras(cfg)["grid_points"])
-    gamma, = cfg.gamma_list
-    rows = []
-    for n in cfg.n_list:
-        L = dirichlethist.default_resolution(int(n))
-        basis = dirichlethist.haar_basis_for(L)
-        ms = NormSpec.multiscale(WeightSequence.power_law(cfg.weights_eps, basis.max_index))
-        truth = seqmodel.truncated_laplace_signal(*dirichlethist.TRUTH, basis)
-        covered = 0
-        env_done = False
-        for rep in range(cfg.reps):
-            s_data, s_draws = rep_seeds(cfg.seed, rep, 2)
-            samples = dirichlethist.sample_iid_laplace(int(n), s_data)
-            counts = dirichlethist.bin_counts(samples, L)
-            dpost = dirichlethist.posterior(counts)
-            heights = dirichlethist.sample_heights(dpost, cfg.draws, s_draws)
-            coefs = dirichlethist.haar_coefficients(heights, L)
-            mean_coefs = dirichlethist.haar_coefficients(dpost.mean_heights(), L)
-            dist = seqmodel.norm(coefs, ms, basis, center=mean_coefs)
-            radius = credsets.calibrate_radius(dist, [gamma])[0]
-            covered += float(seqmodel.norm(truth.coeffs, ms, basis, center=mean_coefs)) <= radius
-            if not env_done and cfg.out_dir:
-                _emit_dirichlet_envelopes(cfg, n, grid, basis, coefs, mean_coefs,
-                                          dist <= radius, gamma)
-                env_done = True
-        p = covered / cfg.reps
-        ci = 1.96 * math.sqrt(p * (1 - p) / cfg.reps)
-        rows.append((n, L, gamma, p, ci, cfg.reps))
+    envelopes = partial(_emit_dirichlet_envelopes, cfg, grid) if cfg.out_dir else None
+    rows = [(r["n"], dirichlethist.default_resolution(int(r["n"])), r["gamma"], r["coverage"],
+             r["ci_half_width"], r["replications"])
+            for r in run_coverage(cfg, envelopes).row_dicts()]
     return Report(cfg.experiment,
                   ("n", "L", "gamma", "coverage", "ci_half_width", "replications"),
                   rows, _meta(cfg))
 
 
-def _emit_dirichlet_envelopes(cfg, n, grid, basis, coefs, mean_coefs, keep, gamma):
+def _emit_dirichlet_envelopes(cfg, grid, n, fitted, coefs, keep):
     """Envelope of the retained draws ``keep``, sup-norm band, mean and truth
     on a plot grid."""
+    basis = fitted.obs.basis
     vals = seqmodel.evaluate_function(coefs, grid, basis)
     lo = vals[keep].min(axis=0)
     hi = vals[keep].max(axis=0)
-    mean_vals = seqmodel.evaluate_function(mean_coefs, grid, basis)
+    mean_vals = seqmodel.evaluate_function(fitted.posterior_mean, grid, basis)
     sup_d = np.max(np.abs(vals - mean_vals), axis=1)
-    q = credsets.calibrate_radius(sup_d, [gamma])[0]
+    q = credsets.calibrate_radius(sup_d, cfg.gamma_list)[0]
     truth_vals = seqmodel.TruncatedLaplace(*dirichlethist.TRUTH).pdf(grid)
     emit(Report("dirichlet_band", ("x", "lower", "upper", "mean", "truth"),
                 list(zip(grid, lo, hi, mean_vals, truth_vals)),
@@ -670,9 +695,9 @@ EXPERIMENTS = {
     "dirichlet_demo": Experiment(
         "dirichlet", run_dirichlet_demo, _dirichlet_gates,
         dict(n_list=(1000, 2000, 5000, 10000), gamma_list=(0.05,), draws=2000, reps=100,
-             signal="truncated_laplace:0.5:5.0", weights_eps=0.1),
-        extras={"grid_points": (int, 257, lambda v: v >= 2, ">= 2")},
-        fields=("weights_eps",), unread=("prior", "signal"), validate=_one_gamma),
+             prior="dirichlet", signal="truncated_laplace:0.5:5.0", weights_eps=0.1),
+        priors=("dirichlet",), extras={"grid_points": (int, 257, lambda v: v >= 2, ">= 2")},
+        fields=("weights_eps",), unread=("prior", "signal"), validate=_sample_sizes),
     "radius_scaling": Experiment(
         "radius-scaling", run_radius_scaling, _scaling_gates,
         dict(n_list=(500, 2000, 8000), gamma_list=(0.05,), draws=2000, reps=10, prior="fixed:1.0"),

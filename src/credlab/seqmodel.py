@@ -94,7 +94,9 @@ class SignalCoefficients:
 
 @dataclass(frozen=True)
 class NoisyObservation:
-    """Sequence data y = f0 + z/sqrt(n) with RNG provenance."""
+    """Sequence data y = f0 + z/sqrt(n) with RNG provenance; under the
+    histogram prior, y holds the bin counts of n iid samples instead
+    (``dirichlethist.observe_counts``)."""
 
     basis: BasisSpec
     y: np.ndarray

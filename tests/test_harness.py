@@ -1,7 +1,9 @@
+import contextlib
 import copy
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -12,9 +14,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from credlab import cli, credsets as cset, gaussprior as gp, harness as hz, seqmodel as sm
+from credlab import cli, credsets as cset, dirichlethist as dh, gaussprior as gp
+from credlab import harness as hz, seqmodel as sm, slabspike as ss
 
 DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
 
@@ -257,6 +260,27 @@ def test_dirichlet_band_envelopes_contain_mean(tmp_path):
         assert lo <= mean <= hi
 
 
+@pytest.mark.parametrize("experiment, over, names", [
+    ("coverage", {}, ("observe", "build_set", "diameter_estimate", "gp.sample")),
+    ("coverage", {"prior": "slabspike", "signal": "truncated_laplace:0.5:5.0"},
+     ("observe", "build_set", "diameter_estimate", "ss.sample")),
+    ("independence_l2", {"prior": "fixed:1.0"}, ("observe", "build_set", "gp.sample")),
+])
+def test_lanes_reach_the_names_a_tracer_wraps(monkeypatch, experiment, over, names):
+    # a tracer wraps these module attributes; a lane that kept a reference
+    # taken at import would bypass the wrapper
+    calls = dict.fromkeys(names, 0)
+    for owner, attr, name in ((hz, "observe", "observe"), (hz, "build_set", "build_set"),
+                              (hz, "diameter_estimate", "diameter_estimate"),
+                              (gp, "sample", "gp.sample"), (ss, "sample", "ss.sample")):
+        def counted(*a, _fn=getattr(owner, attr), _name=name, **k):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*a, **k)
+        monkeypatch.setattr(owner, attr, counted)
+    hz.run_experiment(tiny_cfg(experiment, reps=2, draws=40, gamma_list=(0.1,), **over))
+    assert all(calls[name] > 0 for name in names), calls
+
+
 def test_coverage_fits_and_draws_once_per_replication(monkeypatch):
     calls = []
     sample = gp.sample
@@ -279,28 +303,35 @@ def test_coverage_ci_half_width_formula():
     assert row["ci_half_width"] == pytest.approx(want)
 
 
-@pytest.mark.parametrize("prior", ["fixed:1.0", "eb", "hb", "slabspike"])
+@pytest.mark.parametrize("prior", ["fixed:1.0", "eb", "hb", "slabspike", "dirichlet"])
 def test_streamed_draws_and_distances_equal_the_matrix(prior):
-    # K = 2^14 in both lanes at n = 2000.  Gaussian draws are K wide, so
-    # blocks hold 16 rows; slab-and-spike draws hold their 2^(Jn+1) = 2048
-    # support columns, so blocks hold 128 rows.  M = 37, 200 and 2001 draws
-    # end in a partial block either way.
-    if prior == "slabspike":
-        cfg = tiny_cfg("independence_multiscale", n_list=(2000,))
-    else:
-        cfg = tiny_cfg("independence_l2", n_list=(2000,), prior=prior)
-    obs = sm.observe(hz.make_signal(cfg, 2000), 2000, 5)
-    fitted, specs = cset.fit(obs, cfg.prior, hz._slab(cfg)), hz._joint_specs(cfg, obs.basis)
-    width, step = (2048, 128) if prior == "slabspike" else (2 ** 14, 16)
-    assert obs.y.size == 2 ** 14 and sm.block_rows(width) == step
-    measures = [m for spec in specs for m in cset.build_set(spec, fitted).measures]
-    for M in (37, 200, 2001):
+    # K = 2^14 in the Gaussian and slab lanes at n = 2000.  Gaussian draws
+    # are K wide, so blocks hold 16 rows; slab-and-spike draws hold their
+    # 2^(Jn+1) = 2048 support columns, so blocks hold 128 rows.  M = 37, 200
+    # and 2001 draws end in a partial block either way.  The histogram at
+    # n = 10^4 has 2^3 bins, so its blocks hold 32768 rows: M = 32769 draws
+    # cross one.
+    n, experiment, K, width, step, Ms = {
+        "slabspike": (2000, "independence_multiscale", 2 ** 14, 2048, 128, (37, 200, 2001)),
+        "dirichlet": (10 ** 4, "dirichlet_demo", 8, 8, 32768, (37, 2001, 32769)),
+    }.get(prior, (2000, "independence_l2", 2 ** 14, 2 ** 14, 16, (37, 200, 2001)))
+    cfg = tiny_cfg(experiment, n_list=(n,), prior=prior)
+    ln = hz.lane(cfg, n)
+    obs = ln.observe(5)
+    fitted = cset.fit(obs, cfg.prior, hz._slab(cfg))
+    assert obs.y.size == K and sm.block_rows(width) == step
+    measures = [m for spec in ln.joint or [ln.coverage]
+                for m in cset.build_set(spec, fitted).measures]
+    for M in Ms:
         matrix = fitted.sample(M, 9).draws
         blocks = list(fitted.blocks(M, 9))
         assert matrix.shape == (M, width)
         assert [len(b) for b in blocks] == [step] * (M // step) + [M % step]
         assert np.vstack(blocks).tobytes() == matrix.tobytes()
         del blocks
+        if prior == "dirichlet":
+            heights = np.random.default_rng(9).dirichlet(fitted.post.concentrations, size=M)
+            assert dh.haar_coefficients(heights, 3).tobytes() == matrix.tobytes()
         want = np.array([sm.norm(matrix, spec, obs.basis, center=center)
                          for spec, center in measures])
         assert np.array_equal(hz._stream_distances(fitted, M, 9, measures), want)
@@ -414,6 +445,10 @@ def test_cli_rejects_flags_the_experiment_never_reads(tmp_path, capsys, argv, un
     assert not os.listdir(tmp_path)
 
 
+_BAD_SIGNAL = ("unsupported signal '%s': the forms are power_sine:<a>:<b> and "
+               "truncated_laplace:<loc>:<scale>, with finite numbers")
+
+
 @pytest.mark.parametrize("argv, message", [
     # both read a single gamma, and the report meta states the whole list
     (["radius-scaling", "--n", "200,400", "--gamma", "0.05,0.1"],
@@ -428,6 +463,21 @@ def test_cli_rejects_flags_the_experiment_never_reads(tmp_path, capsys, argv, un
      "independence_l2 reads only eb | hb | fixed:<alpha> priors, not 'slabspike'"),
     (["cred-table", "--n", "200", "--prior", "slabspike"],
      "credibility_table reads only eb | hb | fixed:<alpha> priors, not 'slabspike'"),
+    # only the dirichlet preset runs the histogram prior, and it reads no --prior
+    (["coverage", "--n", "200", "--prior", "dirichlet"],
+     "coverage reads only eb | hb | fixed:<alpha> | slabspike priors, not 'dirichlet'"),
+    (["indep-l2", "--n", "200", "--prior", "dirichlet"],
+     "independence_l2 reads only eb | hb | fixed:<alpha> priors, not 'dirichlet'"),
+    # the histogram's n counts iid samples
+    (["dirichlet", "--n", "1.5"], "dirichlet_demo draws n iid samples, so n must be an "
+                                  "integer >= 2, not 1.5"),
+    (["dirichlet", "--n", "500,1000.7"], "dirichlet_demo draws n iid samples, so n must be an "
+                                         "integer >= 2, not 1000.7"),
+    # a signal is parsed when the config is built, in every experiment that reads one
+    (["coverage", "--n", "200", "--signal", "power_sine:1.5"], _BAD_SIGNAL % "power_sine:1.5"),
+    (["indep-ms", "--n", "200", "--signal", "power_sine:1.5:x"], _BAD_SIGNAL % "power_sine:1.5:x"),
+    (["oversmooth", "--n", "200", "--signal", "truncated_laplace:0.5:nan"],
+     _BAD_SIGNAL % "truncated_laplace:0.5:nan"),
 ])
 def test_cli_rejects_what_the_experiment_does_not_run(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
@@ -450,7 +500,7 @@ def test_cli_unsupported_signal_exits_2(tmp_path, capsys):
                    "--draws", "40", "--reps", "1", "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: unsupported signal 'volterra_sine:1.5:1.0'")
+    assert err == f"config error: {_BAD_SIGNAL % 'volterra_sine:1.5:1.0'}\n"
     assert not os.listdir(tmp_path)
 
 
@@ -669,6 +719,39 @@ def test_any_config_line_is_rejected_or_typed_and_in_range(command, key, value):
         assert 1 <= cfg.extras["test_m"] <= hz.N_M_LEN
     if command == "neg-bvm":
         assert hz._subsequence(hz._extras(cfg))[1] <= hz.N_TEST_MAX
+
+
+# Columns a report may hold as nan by design: no diameter is drawn when
+# diam_reps = 0, and the slab-and-spike and histogram fits have no alpha.
+NAN_BY_DESIGN = ("mean_diameter", "mean_alpha")
+
+
+@settings(max_examples=300, deadline=None)
+@example(command="dirichlet", n="1.5", signal=None, gamma=None)
+@example(command="coverage", n="300", signal="power_sine:1.5", gamma=None)
+@given(command=st.sampled_from(sorted(cli.SUBCOMMANDS)),
+       n=st.sampled_from([None, "1.5", "2", "300", "1000.7", "200,400"]),
+       signal=st.sampled_from([None, "power_sine:1.5:1.0", "truncated_laplace:0.5:5.0",
+                               "power_sine:1.5", "power_sine:1.5:x", "power_sine:nan:1",
+                               "truncated_laplace:2:5", "holder_spike"]),
+       gamma=st.sampled_from([None, "0.05", "0.5", "0.05,0.2"]))
+def test_cli_exits_2_with_a_message_or_reports_no_nan(command, n, signal, gamma):
+    flags = {"--n": n, "--signal": signal, "--gamma": gamma}
+    with tempfile.TemporaryDirectory() as out:
+        argv = [command, "--draws", "20", "--reps", "1", "--out", out]
+        argv += [x for flag, value in flags.items() if value is not None for x in (flag, value)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(argv)
+        if rc == 2:
+            assert err.getvalue().startswith(("config error: ", "error: "))
+            assert err.getvalue().count("\n") == 1 and not os.listdir(out)
+            return
+        assert rc == 0
+        report = hz.parse_report(os.path.join(out, os.listdir(out)[0]))
+        for row in report.row_dicts():
+            assert not [c for c, v in row.items()
+                        if c not in NAN_BY_DESIGN and isinstance(v, float) and math.isnan(v)]
 
 
 def test_cli_check_failure_exits_3(tmp_path):
