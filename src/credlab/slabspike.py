@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .seqmodel import BasisSpec, NoisyObservation, block_rows, wavelet_levels
-from .gaussprior import PosteriorDrawSet
 
 
 # Exponent of the n^{-K} floor on the mixture weights.
@@ -155,33 +155,26 @@ def slab_picks(post: SlabSpikePosterior, rng: np.random.Generator, M: int):
     return rows, cols, post.slab_mean[cols] + np.sqrt(post.slab_var[cols]) * z
 
 
-def sample(post: SlabSpikePosterior, M: int, seed: int) -> PosteriorDrawSet:
+def sample(post: SlabSpikePosterior, M: int, seed: int, step: Optional[int] = None):
     """Exact factorized sampling: Bernoulli(slab_weight) picks slab vs spike.
-    The M x 2^(Jn+1) matrix holds the levels <= Jn, leaving out the zeros
-    past them (``seqmodel.norm`` reads it as zero-padded)."""
-    if M < 1:
-        raise ValueError("need at least one draw")
-    rows, cols, values = slab_picks(post, np.random.default_rng(seed), M)
-    draws = np.zeros((M, 2 << post.jn))
-    draws[rows, cols] = values
-    return PosteriorDrawSet(draws)
-
-
-def sample_blocks(post: SlabSpikePosterior, M: int, seed: int):
-    """The rows of ``sample(post, M, seed)`` as consecutive blocks of
-    ``block_rows`` rows: the uniforms of all M draws and then the normals of
-    all their slab picks come first (``slab_picks``), then each block is
-    filled with its own picks, which come in increasing row order."""
+    The M draws come as consecutive blocks of ``step`` rows, by default
+    ``block_rows`` of their width, each holding the levels <= Jn and leaving
+    out the zeros past them (``seqmodel.norm`` reads it as zero-padded).
+    The picks of all M draws are drawn at the call (``slab_picks``); each
+    block is then filled with its own, which come in increasing row order."""
     if M < 1:
         raise ValueError("need at least one draw")
     rows, cols, values = slab_picks(post, np.random.default_rng(seed), M)
     width = 2 << post.jn
-    step = block_rows(width)
-    for start in range(0, M, step):
+    step = step or block_rows(width)
+
+    def block(start):
         a, b = np.searchsorted(rows, (start, start + step))
-        block = np.zeros((min(step, M - start), width))
-        block[rows[a:b] - start, cols[a:b]] = values[a:b]
-        yield block
+        draws = np.zeros((min(step, M - start), width))
+        draws[rows[a:b] - start, cols[a:b]] = values[a:b]
+        return draws
+
+    return map(block, range(0, M, step))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ def eb_setup(n=500.0, K=512, seed=3, M=400, prior="eb"):
     f0 = sm.power_sine_signal(1.5, 1.0, b)
     obs = sm.observe(f0, n, seed)
     fitted = cset.fit(obs, prior)
-    return obs, fitted, fitted.sample(M, seed + 1).draws
+    return obs, fitted, fitted.sample(M, seed + 1)
 
 
 def calibrated_radii(cs, draws, gammas):
@@ -89,7 +89,7 @@ def band_setup(n=500.0, seed=21, draw_seed=5, M=300):
     f0 = sm.truncated_laplace_signal(0.5, 5.0, b)
     obs = sm.observe(f0, n, seed)
     fitted = cset.fit(obs, "slabspike")
-    return obs, fitted, fitted.sample(M, draw_seed).draws
+    return obs, fitted, fitted.sample(M, draw_seed)
 
 
 @pytest.mark.parametrize("variant", [cset.H_DELTA_EB, cset.H_DELTA_HB, cset.L2_BALL,
@@ -103,7 +103,7 @@ def test_shared_levels_equal_per_level_sets(variant):
     else:
         obs, fitted, draws = eb_setup(prior="hb" if variant == cset.H_DELTA_HB else "eb")
         spec = CredibleSetSpec(variant)
-    fresh = fitted.sample(300, 99).draws
+    fresh = fitted.sample(300, 99)
     cs = build_set(spec, fitted)
     radii = calibrated_radii(cs, draws, gammas)
     shared = members(cs, fresh, radii)
@@ -172,7 +172,7 @@ def test_membership_and_binding_constraint():
 
 def test_intersected_credibility_never_exceeds_plain():
     obs, fitted, draws = eb_setup()
-    fresh = fitted.sample(300, 99).draws
+    fresh = fitted.sample(300, 99)
     plain = build_set(CredibleSetSpec(cset.H_DELTA_BALL), fitted)
     inter = build_set(CredibleSetSpec(cset.H_DELTA_EB), fitted)
     radii = calibrated_radii(plain, draws, (0.05, 0.2))
@@ -182,7 +182,7 @@ def test_intersected_credibility_never_exceeds_plain():
 
 def test_fresh_draw_credibility_near_nominal():
     obs, fitted, draws = eb_setup(n=500.0, K=2048, M=2000)
-    fresh = fitted.sample(2000, 1234).draws
+    fresh = fitted.sample(2000, 1234)
     cs = build_set(CredibleSetSpec(cset.H_DELTA_EB), fitted)
     inside = members(cs, fresh, calibrated_radii(cs, draws, [0.05]))
     assert inside.mean() == pytest.approx(0.95, abs=0.01)
@@ -241,7 +241,7 @@ def test_diameter_triangle_bound_for_band():
     f0 = sm.truncated_laplace_signal(0.5, 5.0, b)
     obs = sm.observe(f0, n, 22)
     fitted = cset.fit(obs, "slabspike")
-    draws = fitted.sample(400, 6).draws
+    draws = fitted.sample(400, 6)
     w = WeightSequence.power_law(0.5, b.max_index)
     cs = build_set(CredibleSetSpec(cset.MULTISCALE_BAND, weights=w), fitted)
     pool = draws[:200]
@@ -323,7 +323,7 @@ def test_pointwise_band_degenerate_and_dominated():
     const = np.tile(obs.y, (40, 1))
     lo, hi = cset.pointwise_band(const, b, grid, 0.1)
     assert np.allclose(lo, hi)
-    draws = ss.sample(post, 500, 7).draws
+    draws = next(ss.sample(post, 500, 7, 500))
     lo, hi = cset.pointwise_band(draws, b, grid, 0.1)
     vals = sm.evaluate_function(draws, grid, b)
     mean_vals = vals.mean(axis=0)
@@ -348,7 +348,7 @@ def test_oversmoothed_pointwise_band_misses_the_peak():
     for seed in range(5):
         obs = sm.observe(f0, n, 300 + seed)
         over = ss.posterior(obs, ss.SlabSpikeConfig(j0_rule=("explicit", 2), tau=60.0))
-        draws = ss.sample(over, 1000, 400 + seed).draws
+        draws = next(ss.sample(over, 1000, 400 + seed, 1000))
         lo, hi = cset.pointwise_band(draws, b, np.array([0.5]), 0.05)
         misses += not (lo[0] <= peak_val <= hi[0])
     assert misses >= 4
@@ -387,7 +387,7 @@ def test_plain_ball_members_concentrate_at_the_adaptive_rate():
     l2d = np.sqrt(((draws - mean) ** 2).sum(axis=1))
     C = float(np.max(l2d)) / rate
     ball = build_set(CredibleSetSpec(cset.H_DELTA_BALL), fitted)
-    fresh = fitted.sample(1500, 999).draws
+    fresh = fitted.sample(1500, 999)
     inside_ball = members(ball, fresh, calibrated_radii(ball, draws, [gamma]))[0]
     inside_l2 = np.sqrt(((fresh - mean) ** 2).sum(axis=1)) <= C * rate
     assert np.mean(inside_ball & inside_l2) >= 1 - gamma - 0.02

@@ -244,24 +244,28 @@ def test_hierarchical_median_tracks_truth():
     assert abs(np.mean(meds) - 1.0) < 0.35
 
 
-def test_sample_hierarchical_mixture_mean_and_determinism():
+def hierarchical_draws(hp, obs, M, seed):
+    return next(gp.hierarchical_blocks(hp, obs, M, seed, M))
+
+
+def test_hierarchical_draws_mixture_mean_and_determinism():
     obs = make_obs(n=50.0, K=32, seed=8)
     hp = gp.hierarchical_marginal(obs, grid_size=100)
-    d1 = gp.sample_hierarchical(hp, obs, 40, 3)
-    d2 = gp.sample_hierarchical(hp, obs, 40, 3)
-    assert np.array_equal(d1.draws, d2.draws)
-    big = gp.sample_hierarchical(hp, obs, 2 * 10 ** 4, 4).draws
+    d1 = hierarchical_draws(hp, obs, 40, 3)
+    d2 = hierarchical_draws(hp, obs, 40, 3)
+    assert np.array_equal(d1, d2)
+    big = hierarchical_draws(hp, obs, 2 * 10 ** 4, 4)
     want = gp.hierarchical_posterior_mean(hp, obs)
     se = 4 * big.std(axis=0) / math.sqrt(big.shape[0])
     assert np.all(np.abs(big.mean(axis=0) - want) <= se + 1e-12)
 
 
-def test_sample_hierarchical_degenerate_matches_fixed_alpha():
+def test_hierarchical_draws_degenerate_matches_fixed_alpha():
     obs = make_obs(n=50.0, K=16, seed=9)
     grid = np.array([0.3, 1.1, 2.0])
     logw = np.array([-np.inf, 0.0, -np.inf])
     hp = gp.HyperPosterior(grid, logw)
-    hier = gp.sample_hierarchical(hp, obs, 5000, 11).draws
+    hier = hierarchical_draws(hp, obs, 5000, 11)
     post = gp.posterior(obs, 1.1)
     fixed = gp.sample(post, 5000, 12).draws
     # identical in law: compare a few coordinate means/variances

@@ -8,8 +8,10 @@ import json
 import math
 import os
 import string
+import sys
 import tempfile
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -260,25 +262,46 @@ def test_dirichlet_band_envelopes_contain_mean(tmp_path):
         assert lo <= mean <= hi
 
 
-@pytest.mark.parametrize("experiment, over, names", [
-    ("coverage", {}, ("observe", "build_set", "diameter_estimate", "gp.sample")),
-    ("coverage", {"prior": "slabspike", "signal": "truncated_laplace:0.5:5.0"},
-     ("observe", "build_set", "diameter_estimate", "ss.sample")),
-    ("independence_l2", {"prior": "fixed:1.0"}, ("observe", "build_set", "gp.sample")),
-])
-def test_lanes_reach_the_names_a_tracer_wraps(monkeypatch, experiment, over, names):
-    # a tracer wraps these module attributes; a lane that kept a reference
-    # taken at import would bypass the wrapper
-    calls = dict.fromkeys(names, 0)
-    for owner, attr, name in ((hz, "observe", "observe"), (hz, "build_set", "build_set"),
-                              (hz, "diameter_estimate", "diameter_estimate"),
-                              (gp, "sample", "gp.sample"), (ss, "sample", "ss.sample")):
-        def counted(*a, _fn=getattr(owner, attr), _name=name, **k):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _fn(*a, **k)
-        monkeypatch.setattr(owner, attr, counted)
-    hz.run_experiment(tiny_cfg(experiment, reps=2, draws=40, gamma_list=(0.1,), **over))
-    assert all(calls[name] > 0 for name in names), calls
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+# Commands no benchmark workload runs, and the traced calls each must reach:
+# indep-ms draws its batches through the slab sampler, Gaussian coverage
+# through the Gaussian one.
+UNBENCHED_COMMANDS = {
+    "indep_ms": (("indep-ms", "--n", "200"), ("slabspike.sample", "credsets.membership")),
+    "coverage": (("coverage", "--n", "200"), ("gaussprior.sample", "credsets.diameter_estimate")),
+}
+
+
+@pytest.mark.parametrize("case", ["l2_joint", "band_coverage", "neg_bvm", *UNBENCHED_COMMANDS])
+def test_lanes_reach_the_names_a_tracer_wraps(monkeypatch, tmp_path, case):
+    # The benchmark's tracer wraps module attributes, which a lane that kept
+    # a reference taken at import would bypass, and its hooks read a
+    # sampler's ``post`` and ``M`` arguments and ``gaussprior.sample``'s
+    # ``.draws``.  Each workload's command, at a tiny size, reaches every
+    # call the benchmark expects of it, and no hook raises.
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  os.path.join(PERFBENCH, "run.py"))
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)
+    spec.loader.exec_module(bench)
+    if case in bench.WORKLOADS:
+        argv, names = bench.WORKLOADS[case].argv, bench.WORKLOADS[case].expected_calls
+    else:
+        argv, calls = UNBENCHED_COMMANDS[case]
+        names = bench._COMMON_CALLS + calls
+    # a flag given twice takes its last value
+    argv = [*argv, *(("--n", "200") if "--n" in argv else ()),
+            "--draws", "40", "--reps", "1", "--out", str(tmp_path)]
+    prog = types.SimpleNamespace(cli=cli, harness=hz, credsets=cset, seqmodel=sm,
+                                 gaussprior=gp, slabspike=ss)
+    tracer = bench.install_tracer(prog)
+    try:
+        code = tracer.call("cli", cli.main, argv)
+    finally:
+        tracer.restore()
+    assert code == 0
+    assert [name for name in names if tracer.calls[name] == 0] == []
 
 
 def test_coverage_fits_and_draws_once_per_replication(monkeypatch):
@@ -305,12 +328,13 @@ def test_coverage_ci_half_width_formula():
 
 @pytest.mark.parametrize("prior", ["fixed:1.0", "eb", "hb", "slabspike", "dirichlet"])
 def test_streamed_draws_and_distances_equal_the_matrix(prior):
+    # Blocks of 1, 7, the default and M rows stack to ``sample`` bit for bit.
     # K = 2^14 in the Gaussian and slab lanes at n = 2000.  Gaussian draws
-    # are K wide, so blocks hold 16 rows; slab-and-spike draws hold their
-    # 2^(Jn+1) = 2048 support columns, so blocks hold 128 rows.  M = 37, 200
-    # and 2001 draws end in a partial block either way.  The histogram at
-    # n = 10^4 has 2^3 bins, so its blocks hold 32768 rows: M = 32769 draws
-    # cross one.
+    # are K wide, so default blocks hold 16 rows; slab-and-spike draws hold
+    # their 2^(Jn+1) = 2048 support columns, so default blocks hold 128
+    # rows.  M = 37, 200 and 2001 draws end in a partial block either way.
+    # The histogram at n = 10^4 has 2^3 bins, so its default blocks hold
+    # 32768 rows: M = 32769 draws cross one.
     n, experiment, K, width, step, Ms = {
         "slabspike": (2000, "independence_multiscale", 2 ** 14, 2048, 128, (37, 200, 2001)),
         "dirichlet": (10 ** 4, "dirichlet_demo", 8, 8, 32768, (37, 2001, 32769)),
@@ -323,12 +347,15 @@ def test_streamed_draws_and_distances_equal_the_matrix(prior):
     measures = [m for spec in ln.joint or [ln.coverage]
                 for m in cset.build_set(spec, fitted).measures]
     for M in Ms:
-        matrix = fitted.sample(M, 9).draws
-        blocks = list(fitted.blocks(M, 9))
+        matrix = fitted.sample(M, 9)
         assert matrix.shape == (M, width)
-        assert [len(b) for b in blocks] == [step] * (M // step) + [M % step]
-        assert np.vstack(blocks).tobytes() == matrix.tobytes()
-        del blocks
+        for height in (1, 7, None, M):
+            start = 0
+            for block in fitted.blocks(M, 9, height):
+                assert len(block) == min(height or step, M - start)
+                assert block.tobytes() == matrix[start:start + len(block)].tobytes()
+                start += len(block)
+            assert start == M
         if prior == "dirichlet":
             heights = np.random.default_rng(9).dirichlet(fitted.post.concentrations, size=M)
             assert dh.haar_coefficients(heights, 3).tobytes() == matrix.tobytes()
@@ -348,6 +375,27 @@ def test_joint_loop_holds_no_draw_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 2000 * 2 ** 14 * 8 / 4
+
+
+def test_hb_sample_holds_one_draw_matrix():
+    # 1000 x 2^14 float64 draws take 131 MB.  Hierarchical draws are turned
+    # into f | alpha, y row by row in place, so an M-row block makes no
+    # temporary of its size; the laws kept per grid index add about 20%.
+    # With all mass on one grid point every row shares one index.
+    ln = hz.lane(tiny_cfg("coverage", n_list=(2000,), prior="hb"), 2000)
+    fits = [cset.fit(ln.observe(s), "hb") for s in (1, 2)]
+    grid = fits[0].post.grid
+    one_point = np.where(np.arange(grid.size) == grid.size // 2, 0.0, -np.inf)
+    fits.append(dataclasses.replace(fits[0], post=gp.HyperPosterior(grid, one_point)))
+    for s, fitted in enumerate(fits, 1):
+        tracemalloc.start()
+        try:
+            draws = fitted.sample(1000, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert draws.shape == (1000, 2 ** 14) and peak < 1.3 * draws.nbytes
+        del draws
 
 
 def test_slab_coverage_holds_no_basis_wide_draw_matrix():
@@ -501,6 +549,13 @@ def test_cli_unsupported_signal_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err == f"config error: {_BAD_SIGNAL % 'volterra_sine:1.5:1.0'}\n"
+    assert not os.listdir(tmp_path)
+    # out of the Laplace density's range: refused with the config, not at run time
+    rc = cli.main(["coverage", "--prior", "slabspike", "--signal", "truncated_laplace:2:5",
+                   "--n", "300", "--draws", "20", "--reps", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == ("config error: unsupported signal 'truncated_laplace:2:5': "
+                                       "truncated_laplace needs 0 < loc < 1 and scale > 0\n")
     assert not os.listdir(tmp_path)
 
 

@@ -111,7 +111,7 @@ def test_sampling_frequencies_and_truncation():
     f0, obs = laplace_obs(200.0, seed=2)
     post = ss.posterior(obs, ss.SlabSpikeConfig())
     M = 10 ** 4
-    draws = ss.sample(post, M, 3).draws
+    draws = next(ss.sample(post, M, 3, M))
     # the draws hold the levels <= Jn; past them the weight, so every draw, is 0
     head = 2 ** (post.jn + 1)
     assert draws.shape == (M, head) and np.all(post.levels[head:] > post.jn)
@@ -123,14 +123,14 @@ def test_sampling_frequencies_and_truncation():
     mixed = np.flatnonzero((post.slab_weight > 0.05) & (post.slab_weight < 0.95))[:10]
     se = np.sqrt(post.slab_weight[mixed] * (1 - post.slab_weight[mixed]) / M)
     assert np.all(np.abs(nonzero[mixed] - post.slab_weight[mixed]) <= 4 * se)
-    again = ss.sample(post, M, 3).draws
+    again = next(ss.sample(post, M, 3, M))
     assert np.array_equal(draws, again)
 
 
 def test_fitted_zone_matches_pure_gaussian_law():
     f0, obs = laplace_obs(500.0, seed=4)
     post = ss.posterior(obs, ss.SlabSpikeConfig())
-    draws = ss.sample(post, 5000, 5).draws
+    draws = next(ss.sample(post, 5000, 5, 5000))
     for pos in (0, 1, 2, 5):  # fitted-zone coordinates
         mu = post.slab_mean[pos]
         sd = math.sqrt(post.slab_var[pos])
@@ -205,7 +205,7 @@ def test_sample_equals_dense_reference(monkeypatch, shape, block_rows):
     M = 2 * step + 1 if step > 1 else 7   # a partial last block whenever blocks span rows
     ref = np.random.default_rng(11)
     want = reference_draws(post, ref, M)
-    assert ss.sample(post, M, 11).draws.tobytes() == want[:, :head].tobytes()
+    assert next(ss.sample(post, M, 11, M)).tobytes() == want[:, :head].tobytes()
     assert not np.any(want[:, head:])
 
     rng = np.random.default_rng(11)
@@ -228,7 +228,7 @@ def test_sampling_law_matches_dense_sampler():
         y[sm.level_slice(level)] = np.linspace(0.0, 6.0, 2 ** level) * math.sqrt(math.log(n) / n)
     post = ss.posterior(sm.NoisyObservation(b, y, n, 0), cfg)
     M = 8000
-    sparse = ss.sample(post, M, 13).draws
+    sparse = next(ss.sample(post, M, 13, M))
     rng = np.random.default_rng(14)
     dense = np.vstack([dense_draws(post, rng, 1000) for _ in range(M // 1000)])
     head = 2 ** (post.jn + 1)
