@@ -63,7 +63,7 @@ def main():
         # oversmoothing contrast: a prior fitting only levels <= 2 produces
         # much tighter pointwise intervals that miss the density at its peak
         over = cset.fit(obs, "slabspike",
-                        ss.SlabSpikeConfig(j0_rule=("explicit", 2), tau=60.0))
+                        ss.SlabSpikeConfig(j0_level=2, tau=60.0))
         odraws = over.sample(2000, seed=911)
         o_lo, o_hi = cset.pointwise_band(odraws, basis, grid, 0.05)
         print(f"        oversmoothed pointwise band contains peak: "

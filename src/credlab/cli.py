@@ -33,9 +33,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=f"run the {SUBCOMMANDS[name]} experiment")
         sp.add_argument("--n", help="comma-separated noise levels")
         sp.add_argument("--gamma", help="comma-separated significance levels")
-        sp.add_argument("--draws", type=int, help="posterior draws per calibration")
-        sp.add_argument("--reps", type=int, help="replications")
-        sp.add_argument("--seed", type=int, help="master seed")
+        sp.add_argument("--draws", help="posterior draws per calibration")
+        sp.add_argument("--reps", help="replications")
+        sp.add_argument("--seed", help="master seed")
         sp.add_argument("--prior", help="eb | hb | fixed:<alpha> | slabspike")
         sp.add_argument("--signal", help="power_sine:a:b | truncated_laplace:loc:scale")
         sp.add_argument("--out", help="output directory (default: reports)")

@@ -5,8 +5,9 @@ calibration of credible radii from draw distances and membership decided
 from them; pointwise bands for comparison.
 
 A geometry reads only the fit.  Its radius reads only the primary distances
-of a calibration batch, and membership reads only distances, so a batch of
-draws is needed only through the distances of the geometry's measures.
+of a calibration batch, and membership, of the draws and the truth alike,
+reads only distances, so a batch of draws is needed only through the
+distances of the geometry's measures.
 """
 
 from __future__ import annotations
@@ -164,13 +165,6 @@ class Constraint:
 
 
 @dataclass(frozen=True)
-class MembershipReport:
-    member: bool
-    binding_constraint: Optional[str]
-    distances: dict
-
-
-@dataclass(frozen=True)
 class CalibratedCredibleSet:
     """The geometry of a credible set: its center, primary norm and
     smoothness or band constraint, all read from the fit.  The primary
@@ -193,33 +187,19 @@ class CalibratedCredibleSet:
         return out
 
     def membership(self, distances, radii) -> np.ndarray:
-        """Membership of draws from their distance rows, one per measure in
-        ``measures`` order (``distance_rows`` gives them for a draw matrix).
-        Row l of the result is membership in the set of primary radius
-        ``radii[l]``."""
+        """Membership from distance rows, one per measure in ``measures``
+        order (``distance_rows`` gives them for draws or for one array such as
+        the truth).  Row l of the result is membership in the set of primary
+        radius ``radii[l]``."""
         ok = distances[0] <= np.asarray(radii)[:, None]
         if self.constraint is not None:
             ok &= distances[1] <= self.constraint.bound
         return ok
 
-    def contains(self, f, radius: float) -> MembershipReport:
-        """Membership of one coefficient array in the set of primary radius
-        ``radius``, with its distances up to the first bound it breaks."""
-        f = np.asarray(f, dtype=float)
-        bounds = [("primary", radius)]
-        if self.constraint is not None:
-            bounds.append((self.constraint.label, self.constraint.bound))
-        distances = {}
-        for (spec, center), (label, bound) in zip(self.measures, bounds):
-            distances[label] = float(norm(f, spec, self.basis, center=center))
-            if distances[label] > bound:
-                return MembershipReport(False, label, distances)
-        return MembershipReport(True, None, distances)
-
 
 def distance_rows(draws, measures, basis: BasisSpec) -> list:
-    """The distance row of the draw matrix ``draws`` for each (norm, center)
-    pair of ``measures``: one ``norm`` call per pair."""
+    """The distance row of ``draws``, a draw matrix or one array, for each
+    (norm, center) pair of ``measures``: one ``norm`` call per pair."""
     return [norm(draws, spec, basis, center=center) for spec, center in measures]
 
 

@@ -36,7 +36,7 @@ def _power(k_log: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def search_upper_bound(n: float) -> float:
-    """a_n = log n / log log n, an o(log n) search box for alpha."""
+    """a_n = log n / log log n, an o(log n) search box for alpha; at least 1."""
     if n <= math.e:
         return 1.0
     return math.log(n) / max(math.log(math.log(n)), 0.1)
@@ -99,7 +99,7 @@ def empirical_bayes_alpha(obs: NoisyObservation) -> EmpiricalBayesResult:
     cell; ties break toward the smallest alpha (argmax takes the first hit).
     """
     n = obs.n
-    a_n = max(search_upper_bound(n), ALPHA_MIN + 0.5)
+    a_n = search_upper_bound(n)
     k_log = _k_log(obs.y.size)
     ysq = obs.y ** 2
 
@@ -213,7 +213,7 @@ def hierarchical_marginal(obs: NoisyObservation, rate: float = 1.0,
     """
     if grid_size < 3:
         raise ValueError("degenerate grid")
-    a_n = max(search_upper_bound(obs.n), ALPHA_MIN + 0.5)
+    a_n = search_upper_bound(obs.n)
     grid = _alpha_grid(a_n, grid_size)
     edges = np.concatenate(([grid[0]], 0.5 * (grid[1:] + grid[:-1]), [grid[-1]]))
     widths = np.diff(edges)
@@ -250,22 +250,21 @@ def hierarchical_blocks(hp: HyperPosterior, obs: NoisyObservation, M: int, seed:
     The grid index of alpha of all M draws comes first; then each block's
     standard normals are drawn and turned into f | alpha, y in place, row by
     row, so a block of any height makes no temporary of its size.  The law
-    of each index is computed once and kept for the rows after it.
+    of each index is ``posterior`` at its alpha, kept for the rows after it.
     """
     rng = np.random.default_rng(seed)
     cum = np.cumsum(hp.weights)
     cum[-1] = 1.0
     idx = np.searchsorted(cum, rng.uniform(size=M))
     K = obs.y.size
-    k_log = _k_log(K)
     laws = {}
     step = step or block_rows(K)
     for start in range(0, M, step):
         zeta = rng.standard_normal((min(step, M - start), K))
         for row, i in zip(zeta, idx[start:start + step]):
             if i not in laws:
-                pw = _power(k_log, hp.grid[i])
-                laws[i] = (obs.n * obs.y / (pw + obs.n), np.sqrt(1.0 / (pw + obs.n)))
+                post = posterior(obs, hp.grid[i])
+                laws[i] = (post.means, np.sqrt(post.variances))
             mean, sd = laws[i]
             row *= sd
             row += mean

@@ -245,8 +245,8 @@ def _uncsvify(v: str):
 
 def parse_signal(text: str) -> tuple:
     """(name, a, b) of a signal ``power_sine:<a>:<b>`` or
-    ``truncated_laplace:<loc>:<scale>``, a and b finite, and 0 < loc < 1 and
-    scale > 0 for the Laplace density."""
+    ``truncated_laplace:<loc>:<scale>``, a and b finite, a > 1/2 for a
+    square-summable sine series, 0 < loc < 1 and scale > 0 for the density."""
     name, *params = text.split(":")
     try:
         a, b = (float(p) for p in params)
@@ -255,9 +255,10 @@ def parse_signal(text: str) -> tuple:
     if name not in ("power_sine", "truncated_laplace") or not all(map(math.isfinite, (a, b))):
         raise ValueError(f"unsupported signal {text!r}: the forms are power_sine:<a>:<b> and "
                          "truncated_laplace:<loc>:<scale>, with finite numbers")
-    if name == "truncated_laplace" and not (0 < a < 1 and b > 0):
-        raise ValueError(f"unsupported signal {text!r}: truncated_laplace needs "
-                         "0 < loc < 1 and scale > 0")
+    ok, need = ((a > 0.5, "a > 1/2") if name == "power_sine"
+                else (0 < a < 1 and b > 0, "0 < loc < 1 and scale > 0"))
+    if not ok:
+        raise ValueError(f"unsupported signal {text!r}: {name} needs {need}")
     return name, a, b
 
 
@@ -325,13 +326,14 @@ def run_coverage(cfg: ExperimentConfig, sidecar: Optional[Callable] = None) -> R
 
     Per replication: fresh observation, prior fit and one draw batch, on
     which the set is calibrated at every level, then membership of the true
-    signal in each.  The diameters read the batch's member draws, which are
-    known only once the radii are calibrated from the whole batch, so the
-    batch is drawn as one matrix: streaming it would cost a second sampling
-    pass to re-draw the members.  A set that keeps fewer than two draws
-    raises; an experiment without ``diam_reps`` draws none.  The prior's
-    ``lane`` gives the truth, the data, the default set and the diameter
-    norm.  ``sidecar(n, fitted, draws, inside)``, when given, reads each n's
+    signal in each, judged from its distances as the draws are.  The
+    diameters read the batch's member draws, which are known only once the
+    radii are calibrated from the whole batch, so the batch is drawn as one
+    matrix: streaming it would cost a second sampling pass to re-draw the
+    members.  A set that keeps fewer than two draws raises; an experiment
+    without ``diam_reps`` draws none.  The prior's ``lane`` gives the truth,
+    the data, the default set and the diameter norm.
+    ``sidecar(n, fitted, draws, inside)``, when given, reads each n's
     replication 0 and the mask of its draws within the first gamma's radius.
     The report's kind is the experiment run (``oversmooth`` and ``dirichlet``
     run this too).
@@ -343,7 +345,7 @@ def run_coverage(cfg: ExperimentConfig, sidecar: Optional[Callable] = None) -> R
         ln = lane(cfg, n)
         f0 = ln.truth
         spec = replace(ln.coverage, variant=variant) if variant else ln.coverage
-        hits = [0] * len(cfg.gamma_list)
+        hits = np.zeros(len(cfg.gamma_list), dtype=int)
         radii, diams = ([[] for _ in cfg.gamma_list] for _ in range(2))
         alphas = []
         for rep in range(cfg.reps):
@@ -356,9 +358,10 @@ def run_coverage(cfg: ExperimentConfig, sidecar: Optional[Callable] = None) -> R
             measured = cset.measures if rep < diam_reps else cset.measures[:1]
             dist = credsets.distance_rows(draws, measured, f0.basis)
             level_radii = credsets.calibrate_radius(dist[0], cfg.gamma_list)
+            truth = credsets.distance_rows(f0.coeffs, cset.measures, f0.basis)
+            hits += cset.membership(truth, level_radii)[:, 0]
             for i, radius in enumerate(level_radii):
                 radii[i].append(radius)
-                hits[i] += cset.contains(f0.coeffs, radius).member
             if rep == 0 and sidecar is not None:
                 sidecar(n, fitted, draws, dist[0] <= level_radii[0])
             if rep < diam_reps:
@@ -530,8 +533,8 @@ def run_negative_bvm(cfg: ExperimentConfig) -> Report:
     for rep in range(cfg.reps):
         s_obs, s_a, s_b = rep_seeds(cfg.seed, rep, 3)
         obs = observe(f0, n_test, s_obs)
-        posts = [slabspike.posterior(obs, slabspike.SlabSpikeConfig(j0_rule, cfg.tau))
-                 for j0_rule in (("explicit", 0), ("sqrt_log_n",))]
+        posts = [slabspike.posterior(obs, slabspike.SlabSpikeConfig(j0_level, cfg.tau))
+                 for j0_level in (0, None)]
         full, fitted = _side_by_side(_escaping_mass, [
             (post, obs, w, radius, cfg.draws, seed) for post, seed in zip(posts, (s_a, s_b))])
         rows.append((rep, n_test, test_m, level, Mn, full, fitted, margin))

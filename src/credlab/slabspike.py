@@ -24,15 +24,15 @@ K_FLOOR = 5.0
 
 @dataclass(frozen=True)
 class SlabSpikeConfig:
-    """Prior layout: fitted-zone rule, mixture-weight decay, truncation.
+    """Prior layout: fitted zone, mixture-weight decay, truncation.
 
-    j0_rule is ("sqrt_log_n",) for j0 = ceil(sqrt(log n)) or
-    ("explicit", level).  The mixture weight at level j is
+    The fitted zone is the levels <= j0_level, or <= ceil(sqrt(log n)) when
+    j0_level is None.  The mixture weight at level j is
     max(n^{-K_FLOOR}, 2^{-j(1+tau)}) clipped at 1/2, so the n^{-K_FLOOR}
     floor takes over past level K_FLOOR log2(n) / (1 + tau).
     """
 
-    j0_rule: tuple = ("sqrt_log_n",)
+    j0_level: Optional[int] = None
     tau: float = 1.0
 
     def __post_init__(self):
@@ -40,12 +40,9 @@ class SlabSpikeConfig:
             raise ValueError("tau must exceed 1/2")
 
     def j0(self, n: float) -> int:
-        kind = self.j0_rule[0]
-        if kind == "sqrt_log_n":
+        if self.j0_level is None:
             return max(1, math.ceil(math.sqrt(math.log(n))))
-        if kind == "explicit":
-            return int(self.j0_rule[1])
-        raise ValueError(f"unknown j0 rule {kind!r}")
+        return self.j0_level
 
     def jn(self, n: float) -> int:
         return int(math.floor(math.log2(n)))

@@ -148,26 +148,39 @@ def test_hb_variant_needs_median():
                                                 * math.sqrt(math.log(obs.n)))
 
 
+def binding_constraint(cs, rows, radius):
+    """The label of the first bound a distance row breaks, None for a member."""
+    bounds = [("primary", radius)]
+    if cs.constraint is not None:
+        bounds.append((cs.constraint.label, cs.constraint.bound))
+    return next((label for d, (label, bound) in zip(rows, bounds) if d > bound), None)
+
+
 def test_membership_and_binding_constraint():
+    # one array is judged from its distance rows by the rule that judges draws
     obs, fitted, draws = eb_setup()
     cs = build_set(CredibleSetSpec(cset.H_DELTA_BALL), fitted)
     [radius] = calibrated_radii(cs, draws, [0.1])
-    assert cs.contains(cs.center, radius).member
+    rows = cset.distance_rows(cs.center, cs.measures, cs.basis)
+    assert cs.membership(rows, [radius])[0, 0]
+    assert binding_constraint(cs, rows, radius) is None
     # construct a point just outside the ball along the first coordinate:
     # the H(delta) weight of k=1 equals one, so the needed bump is the radius
     bump = np.zeros(obs.y.size)
     bump[0] = radius * 1.01
-    rep = cs.contains(cs.center + bump, radius)
-    assert not rep.member and rep.binding_constraint == "primary"
-    assert rep.distances["primary"] == pytest.approx(radius * 1.01)
+    rows = cset.distance_rows(cs.center + bump, cs.measures, cs.basis)
+    assert not cs.membership(rows, [radius])[0, 0]
+    assert binding_constraint(cs, rows, radius) == "primary"
+    assert rows[0] == pytest.approx(radius * 1.01)
     # a high-frequency spike barely moves the H(delta) distance but breaks
     # the smoothness bound, which an infinite primary radius leaves binding
     inter = build_set(CredibleSetSpec(cset.H_DELTA_EB), fitted)
     spike = np.zeros(obs.y.size)
     spike[-1] = 10.0
-    rep = inter.contains(fitted.posterior_mean + spike, math.inf)
-    assert not rep.member and rep.binding_constraint == "smoothness"
-    assert rep.distances["smoothness"] > inter.constraint.bound
+    rows = cset.distance_rows(fitted.posterior_mean + spike, inter.measures, inter.basis)
+    assert not inter.membership(rows, [math.inf])[0, 0]
+    assert binding_constraint(inter, rows, math.inf) == "smoothness"
+    assert rows[1] > inter.constraint.bound
 
 
 def test_intersected_credibility_never_exceeds_plain():
@@ -347,7 +360,7 @@ def test_oversmoothed_pointwise_band_misses_the_peak():
     misses = 0
     for seed in range(5):
         obs = sm.observe(f0, n, 300 + seed)
-        over = ss.posterior(obs, ss.SlabSpikeConfig(j0_rule=("explicit", 2), tau=60.0))
+        over = ss.posterior(obs, ss.SlabSpikeConfig(j0_level=2, tau=60.0))
         draws = next(ss.sample(over, 1000, 400 + seed, 1000))
         lo, hi = cset.pointwise_band(draws, b, np.array([0.5]), 0.05)
         misses += not (lo[0] <= peak_val <= hi[0])

@@ -305,14 +305,19 @@ def test_lanes_reach_the_names_a_tracer_wraps(monkeypatch, tmp_path, case):
 
 
 def test_coverage_fits_and_draws_once_per_replication(monkeypatch):
-    calls = []
-    sample = gp.sample
+    calls, truths = [], []
+    sample, norm = gp.sample, cset.norm
     monkeypatch.setattr(gp, "sample",
                         lambda *a, **k: calls.append(1) or sample(*a, **k))
+    # a 1-d norm call measures the truth: once per measure of the
+    # smoothness-intersected set, however many levels it is judged at
+    monkeypatch.setattr(cset, "norm",
+                        lambda x, *a, **k: truths.append(np.ndim(x) == 1) or norm(x, *a, **k))
     cfg = tiny_cfg("coverage", reps=3, draws=40, prior="fixed:1.0",
                    gamma_list=(0.05, 0.1, 0.2))
     rows = hz.run_coverage(cfg).row_dicts()
     assert len(calls) == 3
+    assert sum(truths) == 2 * 3
     assert [r["gamma"] for r in rows] == [0.05, 0.1, 0.2]
     assert all(r["replications"] == 3 for r in rows)
     radii = [r["mean_radius"] for r in rows]
@@ -526,11 +531,25 @@ _BAD_SIGNAL = ("unsupported signal '%s': the forms are power_sine:<a>:<b> and "
     (["indep-ms", "--n", "200", "--signal", "power_sine:1.5:x"], _BAD_SIGNAL % "power_sine:1.5:x"),
     (["oversmooth", "--n", "200", "--signal", "truncated_laplace:0.5:nan"],
      _BAD_SIGNAL % "truncated_laplace:0.5:nan"),
+    # f_k = k^-a sin(bk) is square-summable only for a > 1/2
+    (["coverage", "--n", "200", "--signal", "power_sine:-3:1"],
+     "unsupported signal 'power_sine:-3:1': power_sine needs a > 1/2"),
+    (["coverage", "--n", "200", "--signal", "power_sine:0.5:1"],
+     "unsupported signal 'power_sine:0.5:1': power_sine needs a > 1/2"),
 ])
 def test_cli_rejects_what_the_experiment_does_not_run(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     assert cli.main(argv + ["--draws", "40", "--reps", "1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--draws", "abc"), ("--reps", "1.5"), ("--seed", "x")])
+def test_cli_integer_flags_parse_once(tmp_path, capsys, flag, value):
+    # a flag is parsed where its config-file key is, with the same message
+    out = tmp_path / "out"
+    assert cli.main(["coverage", flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: cannot parse {flag[2:]} = {value!r}\n"
     assert not out.exists()
 
 

@@ -27,9 +27,7 @@ def test_config_rules():
     assert cfg.j0(200.0) == 3  # ceil(sqrt(log 200))
     assert cfg.jn(200.0) == 7
     assert cfg.j0(10.0) < cfg.j0(1e5) < cfg.j0(1e12)
-    assert ss.SlabSpikeConfig(j0_rule=("explicit", 2)).j0(2000.0) == 2
-    with pytest.raises(ValueError, match="unknown j0 rule"):
-        ss.SlabSpikeConfig(j0_rule=("power_log", 0.5)).j0(2000.0)
+    assert ss.SlabSpikeConfig(j0_level=2).j0(2000.0) == 2
     with pytest.raises(ValueError):
         ss.SlabSpikeConfig(tau=0.5)
 
