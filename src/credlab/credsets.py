@@ -29,7 +29,6 @@ from .seqmodel import (
     block_rows,
     haar_cell_values,
     norm,
-    wavelet_levels,
 )
 from .slabspike import SlabSpikeConfig, SlabSpikePosterior, ThresholdEstimate
 
@@ -61,6 +60,11 @@ SMOOTH_EPS_NUM = 4.0
 # The HB constraint uses beta_hat = (hyperposterior median) - (HB_SHIFT_C + 1)/log n
 # with radius M_n sqrt(log n), M_n = log log n.
 HB_SHIFT_C = 1.0
+# diameter_estimate subsamples this many members (fewer for the max-type
+# norms, whose scan the subsample defines rather than bounds) with this seed.
+DIAMETER_MEMBERS = 500
+DIAMETER_MAX_TYPE_MEMBERS = 200
+DIAMETER_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,7 @@ def fit(obs: NoisyObservation, prior: str,
     if prior == "slabspike":
         post = slabspike.posterior(obs, slab)
         est = slabspike.posterior_median(post)
-        t1 = slabspike.efficient_estimator(obs, est, post, 1)
+        t1 = slabspike.efficient_estimator(obs, est, post)
         return FittedPosterior(obs, post, post.slab_weight * post.slab_mean,
                                threshold=est, efficient_center=t1)
     if prior == "hb":
@@ -219,28 +223,20 @@ def calibrate_radius(distances, gammas) -> list:
     return [float(d[math.ceil((1.0 - g) * d.size) - 1]) for g in gammas]
 
 
-def sigma_band_width(support: np.ndarray, basis: BasisSpec, n: float, vn: float,
-                     j_cap: Optional[int] = None) -> float:
+def sigma_band_width(support: np.ndarray, basis: BasisSpec, n: float, vn: float) -> float:
     """Data-driven band width: vn sqrt(log n / n) times the sup over x of the
-    sum of |psi_lk(x)| over the selected coefficients (levels <= j_cap).
+    sum of |psi_lk(x)| over the selected coefficients.
 
-    Exact for Haar: |psi| is constant on dyadic cells one level finer, so the
-    sup over cell midpoints is the true sup.  Empty support gives zero.
+    Exact for Haar: |psi_lk| is 2^{l/2} on the whole of its interval, so
+    the sum is constant on the dyadic cells of the finest level.  The cells
+    are built level by level: each cell adds its level's term and hands the
+    sum to both its halves.  Empty support gives zero.
     """
-    lev = wavelet_levels(basis)
-    if j_cap is not None:
-        support = support & (lev <= j_cap)
     if not np.any(support):
         return 0.0
-    G = basis.max_index + 1
-    cells = np.zeros(2 ** G)
-    if support[0]:
-        cells += 1.0  # scaling function is constant 1
+    cells = np.array([float(support[0])])  # scaling function is constant 1
     for l in range(basis.max_index + 1):
-        sel = support[2 ** l: 2 ** (l + 1)]
-        if np.any(sel):
-            width = 2 ** (G - l)
-            cells += np.repeat(sel.astype(float) * 2.0 ** (l / 2.0), width)
+        cells = np.repeat(cells + 2.0 ** (l / 2.0) * support[2 ** l: 2 ** (l + 1)], 2)
     return float(vn * math.sqrt(math.log(n) / n) * np.max(cells))
 
 
@@ -310,9 +306,8 @@ def build_set(spec: CredibleSetSpec, fitted: FittedPosterior) -> CalibratedCredi
             raise ValueError("MultiscaleBand needs the posterior-median threshold")
         est = fitted.threshold
         pi_med = np.where(est.support, obs.y, 0.0)
-        jn = int(math.floor(math.log2(n)))
         vn = logn ** VN_POWER
-        sigma = sigma_band_width(est.support, basis, n, vn, j_cap=jn)
+        sigma = sigma_band_width(est.support, basis, n, vn)
         return geometry(center_for(spec.center_rule), NormSpec.multiscale(spec.weights),
                         Constraint("band", NormSpec.sup(), pi_med, sigma))
 
@@ -323,11 +318,12 @@ def build_set(spec: CredibleSetSpec, fitted: FittedPosterior) -> CalibratedCredi
 
 
 def diameter_estimate(draws, norm_spec: NormSpec, basis: Optional[BasisSpec] = None,
-                      rows=None, max_members: int = 500, seed: int = 0) -> float:
+                      rows=None) -> float:
     """Maximum pairwise distance among the member draws ``draws[rows]``
     (every row when ``rows`` is None), a lower bound on the set diameter,
-    over a subsample of ``max_members`` members (200 for the max-type norms)
-    drawn with ``seed``.  Only the subsampled rows are gathered.  ``basis``
+    over a subsample of DIAMETER_MEMBERS members (DIAMETER_MAX_TYPE_MEMBERS
+    for the max-type norms) drawn with DIAMETER_SEED.  Only the subsampled
+    rows are gathered.  ``basis``
     is required for the max-type norms, which read draws narrower than it as
     zero-padded.
 
@@ -344,10 +340,11 @@ def diameter_estimate(draws, norm_spec: NormSpec, basis: Optional[BasisSpec] = N
         idx = idx[rows]
     if idx.size < 2:
         raise ValueError("need at least two member draws")
-    if norm_spec.kind in ("multiscale", "sup"):
-        max_members = min(max_members, 200)
+    max_members = (DIAMETER_MAX_TYPE_MEMBERS if norm_spec.kind in ("multiscale", "sup")
+                   else DIAMETER_MEMBERS)
     if idx.size > max_members:
-        idx = idx[np.random.default_rng(seed).choice(idx.size, max_members, replace=False)]
+        idx = idx[np.random.default_rng(DIAMETER_SEED).choice(idx.size, max_members,
+                                                              replace=False)]
     members = draws[idx]
 
     if norm_spec.kind in ("l2", "sobolev_log"):

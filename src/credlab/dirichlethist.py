@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqmodel import BasisSpec, HAAR_WAVELET, NoisyObservation, TruncatedLaplace
+from .seqmodel import BasisSpec, HAAR_WAVELET, NoisyObservation, TruncatedLaplace, haar_from_cdf
 
 TRUTH = (0.5, 5.0)            # (loc, scale) of the truncated Laplace truth
 RESOLUTION_SMOOTHNESS = 1.4   # the truth lies in L2-Sobolev just below 3/2
@@ -82,33 +82,20 @@ def sample_heights(post: DirichletPosterior, M: int, seed) -> np.ndarray:
 
 
 def haar_coefficients(heights, L: int) -> np.ndarray:
-    """Exact Haar inner products of the density 2^L sum_k h_k 1_{I_Lk}.
-
-    The density is piecewise constant, so each inner product is a signed sum
-    of block masses: with S the cumulative bin mass, the (l,k) coefficient is
-    2^{l/2} (2 S(mid) - S(a) - S(b)).  Output uses the flattened layout of
-    the wavelet modules (scaling coefficient first, levels 0..L-1); with the
-    left-positive Haar convention a density concentrated on the left half has
-    a positive level-0 coefficient.  Accepts one simplex point or a stack.
+    """Exact Haar inner products of the density 2^L sum_k h_k 1_{I_Lk}: its
+    CDF at the bin edges is the cumulative bin mass, which ``haar_from_cdf``
+    turns into the flattened layout of the wavelet modules (scaling
+    coefficient first, levels 0..L-1).  With the left-positive Haar
+    convention a density concentrated on the left half has a positive
+    level-0 coefficient.  Accepts one simplex point or a stack.
     """
-    h = np.atleast_2d(np.asarray(heights, dtype=float))
-    if h.shape[1] != 2 ** L:
+    h = np.asarray(heights, dtype=float)
+    if h.shape[-1:] != (2 ** L,):
         raise ValueError("heights length must equal 2^L")
-    if np.any(h < -1e-12) or np.any(np.abs(h.sum(axis=1) - 1.0) > 1e-8):
+    if np.any(h < -1e-12) or np.any(np.abs(h.sum(axis=-1) - 1.0) > 1e-8):
         raise ValueError("heights must lie on the unit simplex")
-    css = np.concatenate([np.zeros((h.shape[0], 1)), np.cumsum(h, axis=1)], axis=1)
-    out = np.empty((h.shape[0], 2 ** L))
-    out[:, 0] = css[:, -1]  # total mass = 1
-    for l in range(L):
-        k = np.arange(2 ** l)
-        width = 2 ** (L - l)          # bins per level-l interval
-        a = k * width
-        mid = a + width // 2
-        b = a + width
-        out[:, 2 ** l: 2 ** (l + 1)] = 2.0 ** (l / 2.0) * (2 * css[:, mid] - css[:, a] - css[:, b])
-    if np.ndim(heights) == 1:
-        return out[0]
-    return out
+    cdf = np.concatenate((np.zeros(h.shape[:-1] + (1,)), np.cumsum(h, axis=-1)), axis=-1)
+    return haar_from_cdf(cdf)
 
 
 def haar_basis_for(L: int) -> BasisSpec:

@@ -519,7 +519,7 @@ def run_negative_bvm(cfg: ExperimentConfig) -> Report:
     ex = _extras(cfg)
     beta, test_m = ex["beta"], ex["test_m"]
     n_m, n_test = _subsequence(ex)
-    j_max = max(int(math.floor(math.log2(n_test))), seqmodel.default_wavelet_truncation(n_test) - 3)
+    j_max = int(math.floor(math.log2(n_test)))
     basis = BasisSpec(seqmodel.HAAR_WAVELET, j_max)
     f0 = seqmodel.holder_spike_signal(beta, ex["R"], ex["r"], n_m, basis)
     level = int(math.floor(math.log2(test_m)))

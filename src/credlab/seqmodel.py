@@ -67,13 +67,6 @@ def wavelet_levels(basis: BasisSpec) -> np.ndarray:
     return lev
 
 
-def level_slice(l: int) -> slice:
-    """Positions of wavelet level l (l = -1 is the scaling coefficient)."""
-    if l == -1:
-        return slice(0, 1)
-    return slice(2 ** l, 2 ** (l + 1))
-
-
 @dataclass(frozen=True)
 class SignalCoefficients:
     """Truncated coefficient array of a function against a declared basis."""
@@ -331,6 +324,30 @@ def haar_cell_values(coeffs) -> np.ndarray:
     return vals
 
 
+def haar_from_cdf(cdf) -> np.ndarray:
+    """Flattened Haar coefficients of a measure on [0,1] from its CDF F at
+    the 2**G + 1 dyadic points j / 2**G.
+
+    The scaling coefficient is F(1) - F(0) and the (l, k) coefficient,
+    l < G, is 2^{l/2} (2 F(mid) - F(a) - F(b)) over its interval [a, b]:
+    exact for any measure, a density or not.  Accepts a single CDF array or
+    a stack of them (rows).
+    """
+    F = np.atleast_2d(np.asarray(cdf, dtype=float))
+    size = F.shape[-1] - 1
+    if size < 1 or size & (size - 1):
+        raise ValueError(f"a CDF on a dyadic grid has 2**G + 1 points, not {size + 1}")
+    out = np.empty((F.shape[0], size))
+    out[:, 0] = F[:, -1] - F[:, 0]
+    for l in range(size.bit_length() - 1):
+        width = size >> l             # grid steps per level-l interval
+        a, mid, b = F[:, :-1:width], F[:, width // 2::width], F[:, width::width]
+        out[:, 2 ** l: 2 ** (l + 1)] = 2.0 ** (l / 2.0) * (2 * mid - a - b)
+    if np.ndim(cdf) == 1:
+        return out[0]
+    return out
+
+
 def evaluate_function(coeffs, grid, basis: Optional[BasisSpec] = None) -> np.ndarray:
     """Pointwise partial-sum values sum_k f_k e_k(x) on grid points in [0,1].
 
@@ -403,24 +420,14 @@ class TruncatedLaplace:
 
 
 def truncated_laplace_signal(loc: float, scale: float, basis: BasisSpec) -> SignalCoefficients:
-    """Exact Haar coefficients of the truncated Laplace density.
-
-    Every inner product is a closed-form difference of the density's CDF over
-    dyadic blocks, so the coefficients carry no quadrature error.
-    """
+    """Exact Haar coefficients of the truncated Laplace density, from its
+    closed-form CDF (``haar_from_cdf``), so they carry no quadrature error."""
     if not basis.is_wavelet:
         raise ValueError("truncated_laplace requires the Haar basis")
-    dist = TruncatedLaplace(loc, scale)
-    out = np.empty(basis.size)
-    out[0] = float(dist.cdf(1.0) - dist.cdf(0.0))  # integral of the density = 1
-    for l in range(basis.max_index + 1):
-        k = np.arange(2 ** l, dtype=float)
-        a = k / 2 ** l
-        mid = (k + 0.5) / 2 ** l
-        b = (k + 1.0) / 2 ** l
-        out[level_slice(l)] = 2.0 ** (l / 2.0) * (2 * dist.cdf(mid) - dist.cdf(a) - dist.cdf(b))
+    K = basis.size
     # Lipschitz density, so the coefficients sit in a beta = 1 Hoelder ball
-    return SignalCoefficients(basis, out)
+    return SignalCoefficients(
+        basis, haar_from_cdf(TruncatedLaplace(loc, scale).cdf(np.arange(K + 1) / K)))
 
 
 def holder_spike_signal(beta: float, R: float, r: float, subsequence,
@@ -458,7 +465,7 @@ def holder_spike_signal(beta: float, R: float, r: float, subsequence,
     out[1:] = coefs
     for l in range(basis.max_index + 1):
         out[2 ** (l + 1) - 1] = R * 2.0 ** (-l * (beta + 0.5))
-    cap = R * 2.0 ** (-(np.floor(np.log2(np.arange(1, basis.size))) * (beta + 0.5)))
+    cap = R * 2.0 ** (-(wavelet_levels(basis)[1:] * (beta + 0.5)))
     if np.any(np.abs(out[1:]) > cap + 1e-12):
         raise ValueError("subsequence grows too slowly for the Hoelder ball")
     return SignalCoefficients(basis, out)

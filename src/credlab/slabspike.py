@@ -217,16 +217,13 @@ def posterior_median(post: SlabSpikePosterior) -> ThresholdEstimate:
 
 
 def efficient_estimator(obs: NoisyObservation, est: ThresholdEstimate,
-                        post: SlabSpikePosterior, variant: int) -> np.ndarray:
-    """Thresholded shift estimators: y on the fitted zone (variant 1) or the
-    posterior mean there (variant 2); y restricted to the median support on
-    the middle levels; zero above Jn."""
-    if variant not in (1, 2):
-        raise ValueError("variant must be 1 or 2")
+                        post: SlabSpikePosterior) -> np.ndarray:
+    """Thresholded shift estimator: y on the fitted zone, y restricted to the
+    median support on the middle levels, zero above Jn."""
     lev = post.levels
     out = np.zeros_like(obs.y)
     fitted = lev <= post.j0
     middle = (lev > post.j0) & (lev <= post.jn)
-    out[fitted] = obs.y[fitted] if variant == 1 else post.slab_mean[fitted]
+    out[fitted] = obs.y[fitted]
     out[middle] = obs.y[middle] * est.support[middle]
     return out

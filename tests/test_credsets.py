@@ -227,6 +227,46 @@ def test_sigma_accumulates_levels():
     assert sigma_band_width(sup, b, n, vn) == pytest.approx(want)
 
 
+def brute_force_sigma(support, basis, n, vn):
+    """sigma_n from its definition: at each finest dyadic cell, the sum of
+    2^{l/2} over the selected (l, k) whose interval covers the cell, levels
+    added in order after the scaling function's 1."""
+    K = basis.size
+    cells = []
+    for i in range(K):
+        total = float(support[0])
+        for m in range(1, K):
+            l = int(math.floor(math.log2(m)))
+            if support[m] and (i * 2 ** l) // K == m - 2 ** l:
+                total += 2.0 ** (l / 2.0)
+        cells.append(total)
+    return vn * math.sqrt(math.log(n) / n) * max(cells)
+
+
+def test_sigma_equals_brute_force_on_random_supports():
+    rng = np.random.default_rng(8)
+    n, vn = 2000.0, math.log(2000.0) ** cset.VN_POWER
+    for J in range(1, 6):
+        b = BasisSpec(sm.HAAR_WAVELET, J)
+        for p in (0.1, 0.3, 0.7):
+            for _ in range(8):
+                support = rng.random(b.size) < p
+                want = brute_force_sigma(support, b, n, vn) if support.any() else 0.0
+                assert sigma_band_width(support, b, n, vn) == want
+
+
+def test_slab_support_is_empty_above_jn():
+    # the band width needs no cap at Jn: the posterior median is zero there,
+    # even where every observed coefficient is large
+    n = 2000.0
+    b = BasisSpec(sm.HAAR_WAVELET, sm.default_wavelet_truncation(n))
+    above = sm.wavelet_levels(b) > ss.SlabSpikeConfig().jn(n)
+    f0 = sm.truncated_laplace_signal(0.5, 5.0, b)
+    for obs in (sm.observe(f0, n, 4), sm.NoisyObservation(b, np.ones(b.size), n, 0)):
+        support = cset.fit(obs, "slabspike").threshold.support
+        assert support.any() and not support[above].any()
+
+
 def test_multiscale_band_assembly():
     obs, fitted, draws = band_setup()
     est = fitted.threshold

@@ -99,6 +99,36 @@ def test_haar_coefficients_match_exact_signal_restriction():
     assert np.allclose(got, truth.coeffs, atol=1e-12)
 
 
+def heights_by_levels(heights, L):
+    """Reference: the histogram's Haar coefficients level by level, from
+    the cumulative bin mass at each interval's ends and midpoint."""
+    h = np.atleast_2d(heights)
+    css = np.concatenate([np.zeros((h.shape[0], 1)), np.cumsum(h, axis=1)], axis=1)
+    out = np.empty((h.shape[0], 2 ** L))
+    out[:, 0] = css[:, -1]
+    for l in range(L):
+        width = 2 ** (L - l)
+        a = np.arange(2 ** l) * width
+        out[:, 2 ** l: 2 ** (l + 1)] = 2.0 ** (l / 2.0) * (
+            2 * css[:, a + width // 2] - css[:, a] - css[:, a + width])
+    return out
+
+
+@pytest.mark.parametrize("L", range(2, 9))
+def test_haar_coefficients_equal_per_level_formula(L):
+    rng = np.random.default_rng(L)
+    h = rng.dirichlet(np.ones(2 ** L), size=7)
+    assert np.array_equal(dh.haar_coefficients(h, L), heights_by_levels(h, L))
+    assert np.array_equal(dh.haar_coefficients(h[3], L), heights_by_levels(h[3], L)[0])
+
+
+def test_haar_coefficients_round_trip_to_densities():
+    for L in (1, 4, 7):
+        h = np.random.default_rng(L).dirichlet(np.ones(2 ** L), size=5)
+        cells = sm.haar_cell_values(dh.haar_coefficients(h, L))
+        assert np.max(np.abs(cells - 2.0 ** L * h)) <= 2e-14 * 2.0 ** L
+
+
 def test_haar_coefficients_shape_and_simplex_check():
     L = 2
     coeffs = dh.haar_coefficients(np.array([0.2, 0.3, 0.4, 0.1]), L)

@@ -283,6 +283,54 @@ def test_truncated_laplace_coefficients_against_quadrature():
         assert f.coeffs[m] == pytest.approx(val, abs=1e-10)
 
 
+def truth_by_levels(loc, scale, basis):
+    """Reference: the truncated Laplace coefficients level by level, each
+    level from the CDF at its own interval ends and midpoints."""
+    dist = sm.TruncatedLaplace(loc, scale)
+    out = np.empty(basis.size)
+    out[0] = float(dist.cdf(1.0) - dist.cdf(0.0))
+    for l in range(basis.max_index + 1):
+        k = np.arange(2 ** l, dtype=float)
+        a, mid, b = k / 2 ** l, (k + 0.5) / 2 ** l, (k + 1.0) / 2 ** l
+        out[2 ** l: 2 ** (l + 1)] = 2.0 ** (l / 2.0) * (
+            2 * dist.cdf(mid) - dist.cdf(a) - dist.cdf(b))
+    return out
+
+
+def test_truncated_laplace_equals_per_level_formula():
+    pairs = [(0.5, 5.0), (0.3, 12.0)]
+    for J in range(1, 17):
+        b = BasisSpec(sm.HAAR_WAVELET, J)
+        want = np.array([truth_by_levels(loc, scale, b) for loc, scale in pairs])
+        for row, (loc, scale) in zip(want, pairs):
+            assert np.array_equal(sm.truncated_laplace_signal(loc, scale, b).coeffs, row)
+        grid = np.arange(b.size + 1) / b.size
+        cdfs = np.array([sm.TruncatedLaplace(*pair).cdf(grid) for pair in pairs])
+        assert np.array_equal(sm.haar_from_cdf(cdfs), want)
+
+
+@pytest.mark.parametrize("G", [1, 3, 6, 9])
+def test_haar_from_cdf_integrates_up_to_dyadic_t_exactly(G):
+    # min(x, t) is the CDF of Lebesgue measure on [0, t], so its coefficients
+    # a give psi_t(f) = int_0^t f = a @ f, which for t = m / 2^G is the sum
+    # of the first m cell values of f over 2^G
+    rng = np.random.default_rng(G)
+    grid = np.arange(2 ** G + 1) / 2 ** G
+    f = rng.standard_normal(2 ** G)
+    cells = sm.haar_cell_values(f)
+    stack = np.array([np.minimum(grid, m / 2 ** G) for m in range(2 ** G + 1)])
+    coefs = sm.haar_from_cdf(stack)
+    for m in range(2 ** G + 1):
+        assert np.array_equal(coefs[m], sm.haar_from_cdf(stack[m]))
+        assert abs(coefs[m] @ f - cells[:m].sum() / 2 ** G) <= 2e-14
+
+
+def test_haar_from_cdf_needs_a_dyadic_grid():
+    for points in (1, 4, 6):
+        with pytest.raises(ValueError, match="dyadic"):
+            sm.haar_from_cdf(np.linspace(0.0, 1.0, points))
+
+
 def test_truncated_laplace_inverse_cdf_roundtrip():
     dist = sm.TruncatedLaplace(0.5, 5.0)
     u = np.linspace(1e-6, 1 - 1e-6, 101)
