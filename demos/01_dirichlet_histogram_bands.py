@@ -13,7 +13,7 @@ Run:  python3 demos/01_dirichlet_histogram_bands.py
 
 import os
 
-from credlab import harness as hz
+from credlab import dirichlethist, harness as hz
 
 OUT = os.path.join(os.path.dirname(__file__), "output", "dirichlet")
 
@@ -28,7 +28,7 @@ def main():
     path = hz.emit(report, os.path.join(OUT, "coverage_summary.csv"))
     print(f"coverage summary -> {path}")
     for row in report.row_dicts():
-        print(f"  n={row['n']:>6}  bins=2^{row['L']}  "
+        print(f"  n={row['n']:>6}  bins=2^{dirichlethist.default_resolution(int(row['n']))}  "
               f"coverage={row['coverage']:.2f} +/- {row['ci_half_width']:.2f}")
     print(f"band envelopes (x, lower, upper, mean, truth) -> {OUT}/dirichlet_band_n*.csv")
 

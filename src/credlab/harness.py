@@ -385,7 +385,7 @@ def run_coverage(cfg: ExperimentConfig, sidecar: Optional[Callable] = None) -> R
 
 
 # ---------------------------------------------------------------------------
-# joint credibility: the credibility table and both independence runs
+# joint credibility: both independence runs
 # ---------------------------------------------------------------------------
 
 def _joint_masses(cfg: ExperimentConfig, n: float) -> dict:
@@ -439,25 +439,18 @@ def _stream_distances(fitted, M: int, seed: int, measures) -> np.ndarray:
 def run_joint(cfg: ExperimentConfig) -> Report:
     """Average credibility of sets A and B on fresh draws, their observed
     joint credibility and the independence benchmark (1-gamma)^2, then the
-    total variation between the two conditioned posteriors against gamma.
-    The credibility table names its columns after the Gaussian-lane sets and
-    leaves out the total variation."""
-    table = cfg.experiment == "credibility_table"
+    total variation between the two conditioned posteriors against gamma."""
     rows = []
     for n in cfg.n_list:
         masses = _joint_masses(cfg, n)
         for g in cfg.gamma_list:
             credA, credB, joint = (float(np.mean([m[i] for m in masses[g]])) for i in range(3))
-            row = (n, g, credA, credB, joint, credA * credB, (1 - g) ** 2)
-            if not table:
-                row += (float(np.mean([_tv_from_masses(*m, f"n={n:g} gamma={g} replication {rep}")
-                                       for rep, m in enumerate(masses[g])])), g)
-            rows.append(row)
-    columns = (("credibility_smoothed", "credibility_l2", "joint_credibility",
-                "product_of_marginals", "expected_if_independent") if table else
-               ("cred_A", "cred_B", "joint", "product", "expected_independent",
-                "tv_estimate", "tv_expected"))
-    return Report(cfg.experiment, ("n", "gamma", *columns), rows, _meta(cfg))
+            tv = float(np.mean([_tv_from_masses(*m, f"n={n:g} gamma={g} replication {rep}")
+                                for rep, m in enumerate(masses[g])]))
+            rows.append((n, g, credA, credB, joint, credA * credB, (1 - g) ** 2, tv, g))
+    return Report(cfg.experiment,
+                  ("n", "gamma", "cred_A", "cred_B", "joint", "product", "expected_independent",
+                   "tv_estimate", "tv_expected"), rows, _meta(cfg))
 
 
 def _tv_from_masses(pa: float, pb: float, pab: float, where: str) -> float:
@@ -572,18 +565,12 @@ def _escaping_mass(post, obs, w: WeightSequence, radius: float, M: int,
 # ---------------------------------------------------------------------------
 
 def run_dirichlet_demo(cfg: ExperimentConfig) -> Report:
-    """Histogram-prior pipeline: ``run_coverage`` in the Dirichlet lane,
-    with its own columns, plus band envelopes for plotting: CSVs (x, lower,
-    upper, mean, truth) per n from replication 0's draws, in ``out_dir``
-    when set."""
+    """Histogram-prior pipeline: ``run_coverage`` in the Dirichlet lane, plus
+    band envelopes for plotting: CSVs (x, lower, upper, mean, truth) per n
+    from replication 0's draws, in ``out_dir`` when set."""
     grid = np.linspace(0.0, 1.0, _extras(cfg)["grid_points"])
     envelopes = partial(_emit_dirichlet_envelopes, cfg, grid) if cfg.out_dir else None
-    rows = [(r["n"], dirichlethist.default_resolution(int(r["n"])), r["gamma"], r["coverage"],
-             r["ci_half_width"], r["replications"])
-            for r in run_coverage(cfg, envelopes).row_dicts()]
-    return Report(cfg.experiment,
-                  ("n", "L", "gamma", "coverage", "ci_half_width", "replications"),
-                  rows, _meta(cfg))
+    return run_coverage(cfg, envelopes)
 
 
 def _emit_dirichlet_envelopes(cfg, grid, n, fitted, coefs, keep):
@@ -636,17 +623,18 @@ def _oversmoothing_gates(report: Report) -> list:
              f"coverage={r['coverage']:.3f}") for r in report.row_dicts()]
 
 
-def _table_gates(report: Report) -> list:
+def _l2_gates(report: Report) -> list:
+    """Criteria 1 and 2: the smoothed set's credibility against 1 - gamma and
+    the joint credibility against (1-gamma)^2 per row, then the total
+    variation against gamma."""
     out = []
     for r in report.row_dicts():
         out.append((f"cred n={r['n']} gamma={r['gamma']}",
-                    abs(r["credibility_smoothed"] - (1 - r["gamma"])) <= 0.005,
-                    f"cred={r['credibility_smoothed']:.4f}"))
+                    abs(r["cred_A"] - (1 - r["gamma"])) <= 0.005, f"cred={r['cred_A']:.4f}"))
         out.append((f"joint n={r['n']} gamma={r['gamma']}",
-                    abs(r["joint_credibility"] - r["expected_if_independent"]) <= 0.015,
-                    f"joint={r['joint_credibility']:.4f} "
-                    f"expected={r['expected_if_independent']:.4f}"))
-    return out
+                    abs(r["joint"] - r["expected_independent"]) <= 0.015,
+                    f"joint={r['joint']:.4f} expected={r['expected_independent']:.4f}"))
+    return out + _tv_gates(report, 0.02)
 
 
 def _tv_gates(report: Report, tol: float) -> list:
@@ -680,12 +668,8 @@ EXPERIMENTS = {
     "coverage": Experiment(
         "coverage", run_coverage, _coverage_gates,
         dict(n_list=(2000,), gamma_list=(0.05,), draws=1000, reps=200), extras=_COVERAGE_KEYS),
-    "credibility_table": Experiment(
-        "cred-table", run_joint, _table_gates,
-        dict(n_list=(500, 2000), gamma_list=(0.05, 0.10, 0.15, 0.20), draws=2000, reps=20),
-        priors=_GAUSSIAN),
     "independence_l2": Experiment(
-        "indep-l2", run_joint, partial(_tv_gates, tol=0.02),
+        "indep-l2", run_joint, _l2_gates,
         dict(n_list=(2000,), gamma_list=(0.05, 0.20), draws=2000, reps=20), priors=_GAUSSIAN),
     "independence_multiscale": Experiment(
         "indep-ms", run_joint, partial(_tv_gates, tol=0.03),

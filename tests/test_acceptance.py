@@ -71,7 +71,7 @@ def test_criterion_10_oracle_suites(tmp_path):
     import hashlib
     digests = []
     for run in range(2):
-        cfg = hz.ExperimentConfig.defaults("credibility_table")
+        cfg = hz.ExperimentConfig.defaults("independence_l2")
         cfg.n_list, cfg.reps, cfg.draws, cfg.gamma_list = (200,), 2, 40, (0.1,)
         path = tmp_path / f"d{run}.csv"
         hz.emit(hz.run_experiment(cfg), str(path))

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import dataclasses
 import hashlib
 import importlib.util
@@ -55,18 +56,6 @@ def test_permuting_replications_preserves_per_rep_results():
     assert rows[0] == rows2[0] and rows[1] == rows2[1]
 
 
-def test_end_to_end_determinism_checksums(tmp_path):
-    digests = []
-    for run in range(2):
-        cfg = tiny_cfg("credibility_table", reps=2, draws=40,
-                       gamma_list=(0.1,))
-        report = hz.run_experiment(cfg)
-        p = tmp_path / f"t{run}.csv"
-        hz.emit(report, str(p))
-        digests.append(hashlib.sha256(p.read_bytes()).hexdigest())
-    assert digests[0] == digests[1]
-
-
 # sha256 of each report as written by commit 106f9ea, whose joint-credibility
 # loop calibrated and tested every gamma with its own distance passes, and of
 # the coverage, oversmoothing and Dirichlet reports as written by commit
@@ -75,14 +64,17 @@ def test_end_to_end_determinism_checksums(tmp_path):
 # x86-64).  Sharing those passes across gamma and calibrating every radius by
 # one rule must not move a single byte.  The Dirichlet-summary pin was
 # re-recorded when its meta line began to state the weights_eps it runs and
-# to omit the flags it never read; its rows are unchanged.  The four
-# slab-and-spike pins (coverage_band, coverage_band_gammas, indep_ms,
-# neg_bvm) were re-recorded when slab_picks began to draw uniforms only on
-# the levels <= Jn and one normal per slab pick, a new random stream with
-# the same posterior law.  The three slab-lane variant pins (coverage_band_sup,
-# coverage_band_l2, coverage_band_ms) were recorded at commit d36607d, whose
-# slab draws were as wide as the basis, before the draws were stored as their
-# 2^(Jn+1) support columns; ``PIN_CONFIGS`` gives the config file each runs.
+# to omit the flags it never read, its rows unchanged, and again when the
+# histogram report became a coverage report: the columns are coverage's,
+# and n, gamma, coverage, ci_half_width and replications are unchanged.
+# The four slab-and-spike pins (coverage_band, coverage_band_gammas,
+# indep_ms, neg_bvm) were re-recorded when slab_picks began to draw uniforms
+# only on the levels <= Jn and one normal per slab pick, a new random stream
+# with the same posterior law.  The three slab-lane variant pins
+# (coverage_band_sup, coverage_band_l2, coverage_band_ms) were recorded at
+# commit d36607d, whose slab draws were as wide as the basis, before the
+# draws were stored as their 2^(Jn+1) support columns; ``PIN_CONFIGS`` gives
+# the config file each runs.
 SMALL = ["--n", "500", "--draws", "200", "--reps", "2"]
 BAND_SMALL = ["coverage", *SMALL, "--prior", "slabspike",
               "--signal", "truncated_laplace:0.5:5.0"]
@@ -93,8 +85,6 @@ PINNED_REPORTS = {
     "indep_l2_hb": (["indep-l2", *SMALL, "--prior", "hb", "--gamma", "0.05,0.2"],
                     "independence_l2.csv",
                     "6e327f57c2d9c0d5e0e17635445e876d99059be7f80bb49d6d7c9f203f539d30"),
-    "cred_table": (["cred-table", *SMALL, "--gamma", "0.05,0.2"], "credibility_table.csv",
-                   "3ebe2403fdf5ebdfb3b15b33802bef665c4ec55b0da04068d7654a4022efb9fd"),
     "indep_ms": (["indep-ms", *SMALL, "--gamma", "0.05,0.1"], "independence_multiscale.csv",
                  "e7cd9ad8be24934fa34bf05670afcb35765e81c6d44740e860019bcb6242b150"),
     "coverage_eb": (["coverage", *SMALL], "coverage.csv",
@@ -116,7 +106,7 @@ PINNED_REPORTS = {
     "oversmooth": (["oversmooth", *SMALL], "oversmoothing_demo.csv",
                    "3819989e7fb801fe27823074eff22097f6cbffd38e2d9d086e23fd21984c79d5"),
     "dirichlet_summary": (DIRICHLET_SMALL, "dirichlet_demo.csv",
-                          "a42051cb5338fcaa86b026363f65198faae61609f0e1dad95c229d806b1790bc"),
+                          "48a4c682df15bd158fbf5e967bcd9151f328cfde03dbd2740e0ce2e25d86223f"),
     "dirichlet_band": (DIRICHLET_SMALL, "dirichlet_band_n1000.csv",
                        "f97228d4dd98cb064b322d3d3bc0e7c3790a58033f295fe363594a8db568fd66"),
     "coverage_band_sup": (BAND_SMALL, "coverage.csv",
@@ -431,10 +421,10 @@ def test_joint_never_exceeds_marginals():
 
 def test_cli_runs_and_writes(tmp_path):
     out = tmp_path / "reports"
-    rc = cli.main(["cred-table", "--n", "200", "--gamma", "0.1", "--draws", "40",
+    rc = cli.main(["indep-l2", "--n", "200", "--gamma", "0.1", "--draws", "40",
                    "--reps", "2", "--out", str(out)])
     assert rc == 0
-    assert (out / "credibility_table.csv").exists()
+    assert (out / "independence_l2.csv").exists()
 
 
 def test_cli_config_file_supplies_flags(tmp_path):
@@ -442,10 +432,10 @@ def test_cli_config_file_supplies_flags(tmp_path):
     conf.write_text("n = 200\ngamma = 0.1\ndraws = 40\nreps = 2\n"
                     "seed = 7  # trailing comment\n# comment line\n")
     out = tmp_path / "reports"
-    rc = cli.main(["cred-table", "--config", str(conf), "--reps", "3", "--out", str(out)])
+    rc = cli.main(["indep-l2", "--config", str(conf), "--reps", "3", "--out", str(out)])
     assert rc == 0
-    assert os.listdir(out) == ["credibility_table.csv"]
-    meta = hz.parse_report(str(out / "credibility_table.csv")).meta
+    assert os.listdir(out) == ["independence_l2.csv"]
+    meta = hz.parse_report(str(out / "independence_l2.csv")).meta
     assert (meta["n_list"], meta["gamma_list"], meta["draws"]) == ([200.0], [0.1], 40)
     assert (meta["reps"], meta["seed"]) == (3, 7)  # the flag wins over the file
 
@@ -514,8 +504,8 @@ _BAD_SIGNAL = ("unsupported signal '%s': the forms are power_sine:<a>:<b> and "
      "independence_multiscale reads only slabspike priors, not 'fixed:2'"),
     (["indep-l2", "--n", "200", "--prior", "slabspike", "--signal", "truncated_laplace:0.5:5.0"],
      "independence_l2 reads only eb | hb | fixed:<alpha> priors, not 'slabspike'"),
-    (["cred-table", "--n", "200", "--prior", "slabspike"],
-     "credibility_table reads only eb | hb | fixed:<alpha> priors, not 'slabspike'"),
+    (["indep-l2", "--n", "200", "--prior", "slabspike"],
+     "independence_l2 reads only eb | hb | fixed:<alpha> priors, not 'slabspike'"),
     # only the dirichlet preset runs the histogram prior, and it reads no --prior
     (["coverage", "--n", "200", "--prior", "dirichlet"],
      "coverage reads only eb | hb | fixed:<alpha> | slabspike priors, not 'dirichlet'"),
@@ -653,7 +643,45 @@ def test_cli_dirichlet_small_n(tmp_path):
     assert cli.main(["dirichlet", "--n", "200", "--reps", "2", "--draws", "40",
                      "--out", str(tmp_path)]) == 0
     rows = hz.parse_report(str(tmp_path / "dirichlet_demo.csv")).row_dicts()
-    assert rows[0]["L"] == 2 and rows[0]["replications"] == 2
+    assert dh.default_resolution(200) == 2 and rows[0]["replications"] == 2
+
+
+def test_cli_indep_l2_check_runs_every_l2_gate(tmp_path, capsys):
+    # criteria 1 and 2 on one run: the smoothed set's credibility within
+    # 0.005 of 1 - gamma, the joint within 0.015 of (1-gamma)^2, the TV
+    # within 0.02 of gamma; at this size all three fail at both gammas
+    rc = cli.main(["indep-l2", "--n", "200", "--draws", "40", "--reps", "2",
+                   "--gamma", "0.05,0.2", "--check", "--out", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "FAIL cred n=200.0 gamma=0.05: cred=0.9625",
+        "FAIL joint n=200.0 gamma=0.05: joint=0.9375 expected=0.9025",
+        "FAIL cred n=200.0 gamma=0.2: cred=0.7625",
+        "FAIL joint n=200.0 gamma=0.2: joint=0.6875 expected=0.6400",
+        "FAIL tv n=200.0 gamma=0.05: tv=0.0198",
+        "FAIL tv n=200.0 gamma=0.2: tv=0.0767"]
+
+
+def test_dirichlet_report_is_a_coverage_report(tmp_path):
+    # the histogram lane writes run_coverage's columns; the values below are
+    # those its report wrote when it held only these columns and the bin
+    # count L, which default_resolution(n) gives
+    assert cli.main([*DIRICHLET_SMALL, "--out", str(tmp_path)]) == 0
+    report = hz.parse_report(str(tmp_path / "dirichlet_demo.csv"))
+    assert report.columns == hz.run_coverage(tiny_cfg("coverage", reps=1, draws=40)).columns
+    with open(tmp_path / "dirichlet_demo.csv", newline="") as fh:
+        fh.readline()
+        rows = list(csv.DictReader(fh))
+    kept = ("n", "gamma", "coverage", "ci_half_width", "replications")
+    assert [[r[c] for c in kept] for r in rows] == [["1000.0", "0.05", "1.0", "0.0", "2"],
+                                                    ["2000.0", "0.05", "1.0", "0.0", "2"]]
+
+
+def test_readme_command_block_lists_every_subcommand():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```")[1]
+    commands = [line.split()[1] for line in block.splitlines() if line.startswith("credlab ")]
+    assert sorted(commands) == sorted(cli.SUBCOMMANDS)
 
 
 @pytest.mark.parametrize("command, lines, ok", [
@@ -663,7 +691,7 @@ def test_cli_dirichlet_small_n(tmp_path):
     ("neg-bvm", "subseq_base = 100\ntau = 4\ntest_m = 2\n", True),
     ("neg-bvm", "grid_points = 9\n", False),
     ("dirichlet", "weights_eps = 0.1\ngrid_points = 9\n", True),
-    ("cred-table", "variant = L2Ball\n", False),
+    ("indep-l2", "variant = L2Ball\n", False),
     ("coverage", "format = xml\n", False),  # reports are CSV only
 ])
 def test_cli_config_keys_checked_per_experiment(tmp_path, capsys, command, lines, ok):
