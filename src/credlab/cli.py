@@ -96,10 +96,23 @@ def make_config(args: argparse.Namespace) -> harness.ExperimentConfig:
     return dataclasses.replace(cfg, **fields)
 
 
+def check_out_dir(path: str) -> None:
+    """Raise OSError unless ``path`` is a writable directory or one that can
+    be made: its nearest existing ancestor must be a writable directory."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise NotADirectoryError(f"--out {path}: {probe} is not a directory")
+    if not os.access(probe, os.W_OK | os.X_OK):
+        raise PermissionError(f"--out {path}: {probe} is not writable")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = make_config(args)
+        check_out_dir(cfg.out_dir)
     except (ValueError, OSError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -323,16 +323,17 @@ def diameter_estimate(draws, norm_spec: NormSpec, basis: Optional[BasisSpec] = N
     (every row when ``rows`` is None), a lower bound on the set diameter,
     over a subsample of DIAMETER_MEMBERS members (DIAMETER_MAX_TYPE_MEMBERS
     for the max-type norms) drawn with DIAMETER_SEED.  Only the subsampled
-    rows are gathered.  ``basis``
-    is required for the max-type norms, which read draws narrower than it as
-    zero-padded.
+    rows are gathered.  ``basis`` is required for the multiscale norm.
 
     The l2 and Sobolev scans form a Gram matrix, quadratic in the members.
     The max-type scan is linear, so there the subsample bounds no cost but
     defines the estimator: after a per-row transform a pairwise distance is
     max_k |a_ik - a_jk|, and rounded subtraction is monotone in each
     argument and odd, so the largest rounded difference in a column is
-    exactly fl(column max - column min).
+    exactly fl(column max - column min).  As in ``seqmodel.norm``, a column
+    zero in every member adds nothing, so members narrower than the basis
+    read as zero-padded, and the sup scan synthesises the cells of the first
+    ``seqmodel.haar_width(members)`` columns only.
     """
     draws = np.asarray(draws)
     idx = np.arange(draws.shape[0])
@@ -359,7 +360,7 @@ def diameter_estimate(draws, norm_spec: NormSpec, basis: Optional[BasisSpec] = N
         return float(math.sqrt(max(d2.max(), 0.0)))
 
     if norm_spec.kind == "sup":
-        feats = haar_cell_values(members)
+        feats = haar_cell_values(members[:, :seqmodel.haar_width(members)])
     else:
         feats = members / norm_spec.weights.per_position(basis)[:members.shape[1]]
     return float(np.max(feats.max(axis=0) - feats.min(axis=0)))

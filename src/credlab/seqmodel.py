@@ -226,11 +226,16 @@ def norm(x, spec: NormSpec, basis: Optional[BasisSpec] = None, center=None):
 
     ``basis`` is required for the wavelet norms when ``x`` is a bare array.
     A wavelet array narrower than ``basis`` stands for its zero-padding to
-    the basis size, and the value is that of the padded array, bit for bit:
-    multiscale takes the larger of the head's maximum and the center tail's,
-    since |0 - c| / w is |c| / w; sup, when the center has no nonzero tail,
-    synthesises the head alone, since a level of zeros only repeats cells;
-    any other norm pads each block of rows before reducing it.
+    the basis size, and the value is that of the padded array, bit for bit.
+    l2 pads each block of rows.  The max-type norms follow one rule instead:
+    a column that is zero in every row of a block, padded or not, adds no
+    information.  multiscale reduces |x - c| / w over the block's live
+    columns, those nonzero in some row, and every other column adds its
+    row-independent |c| / w.  sup synthesises only the first W columns of
+    ``x - center``, W the next power of two past the deepest column nonzero
+    in the block or the center: the finer cells only repeat these, since
+    v +- 0.0 == v and abs drops the sign of a zero.  A max does not depend
+    on how its arguments are split, and numpy's max propagates NaN.
     Values computed for a 2-d array are per-row.  Its rows are taken in
     blocks of ``block_rows`` rows, so no temporary as large as ``x`` is
     built.  Every norm but sobolev_log reduces each row on its own, so the
@@ -247,50 +252,55 @@ def norm(x, spec: NormSpec, basis: Optional[BasisSpec] = None, center=None):
     else:
         arr = np.asarray(x, dtype=float)
     size = arr.shape[-1]
-    wide = basis.size if basis is not None and basis.is_wavelet else size
-    pad = size < wide
+    wavelet = basis is not None and basis.is_wavelet
 
-    if spec.kind == "l2":
-        def block_norm(a):
-            return np.sqrt(np.sum(a * a, axis=-1))
-    elif spec.kind == "sobolev_log":
-        if basis is not None and basis.is_wavelet:
-            raise ValueError("sobolev_log norms apply to Fourier sine coefficients")
-        w = sobolev_log_weights(size, spec.s, spec.delta)
+    if spec.kind in ("l2", "sobolev_log"):
+        if spec.kind == "sobolev_log":
+            if wavelet:
+                raise ValueError("sobolev_log norms apply to Fourier sine coefficients")
+            w = sobolev_log_weights(size, spec.s, spec.delta)
+        span = max(size, basis.size) if wavelet else size
+        if center is not None:
+            center = center[:span]
 
-        def block_norm(a):
+        def reduce(a):
+            if span > size:
+                a = np.concatenate((a, np.zeros(a.shape[:-1] + (span - size,))), axis=-1)
+            if center is not None:
+                a = a - center
+            if spec.kind == "l2":
+                return np.sqrt(np.sum(a * a, axis=-1))
             return np.sqrt((a * a) @ w)
-    elif spec.kind == "multiscale":
-        if basis is None or not basis.is_wavelet:
-            raise ValueError("multiscale norm requires a wavelet basis")
-        w = spec.weights.per_position(basis)
-        tail = np.max(np.abs(center[size:]) / w[size:]) if pad and center is not None else 0.0
-        w, pad = w[:size], False
-
-        def block_norm(a):
-            return np.maximum(np.max(np.abs(a) / w, axis=-1), tail)
-    elif spec.kind == "sup":
-        if basis is None or not basis.is_wavelet:
-            raise ValueError("sup norm requires a wavelet basis")
-        if pad and (center is None or not np.any(center[size:])):
-            pad = False
-
-        def block_norm(a):
-            return np.max(np.abs(haar_cell_values(a)), axis=-1)
-    else:
+    elif spec.kind not in ("multiscale", "sup"):
         raise ValueError(f"unknown norm kind {spec.kind!r}")
-    if center is not None and not pad:
-        center = center[:size]
+    elif not wavelet:
+        raise ValueError(f"{spec.kind} norm requires a wavelet basis")
+    elif spec.kind == "multiscale":
+        w = spec.weights.per_position(basis)
+        center = np.zeros(basis.size) if center is None else center
+        cw = np.abs(center) / w   # what a column zero in the whole block adds
+        tail = np.max(cw[size:], initial=0.0)
+        w, cw, center, span = w[:size], cw[:size], center[:size], size
 
-    def reduce(a):
-        if pad:
-            a = np.concatenate((a, np.zeros(a.shape[:-1] + (wide - size,))), axis=-1)
-        return block_norm(a if center is None else a - center)
+        def reduce(a):
+            on = live_columns(a)
+            rest = np.max(cw[~on], initial=tail)
+            return np.max(np.abs(a[..., on] - center[on]) / w[on], axis=-1, initial=rest)
+    else:
+        reach = 1 if center is None else haar_width(center)
+        span = max(size, reach)
+
+        def reduce(a):
+            W = max(haar_width(a), reach)
+            if W > size:
+                a = np.concatenate((a, np.zeros(a.shape[:-1] + (W - size,))), axis=-1)
+            a = a[..., :W] if center is None else a[..., :W] - center[:W]
+            return np.max(np.abs(haar_cell_values(a)), axis=-1)
 
     if arr.ndim < 2:
         return reduce(arr)
     out = np.empty(arr.shape[0])
-    step = block_rows(wide if pad else size)
+    step = block_rows(span)
     for start in range(0, arr.shape[0], step):
         out[start:start + step] = reduce(arr[start:start + step])
     return out
@@ -299,6 +309,22 @@ def norm(x, spec: NormSpec, basis: Optional[BasisSpec] = None, center=None):
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
+
+def live_columns(coeffs) -> np.ndarray:
+    """Which columns of a coefficient array, or a stack of them (rows), are
+    nonzero in some row; -0.0 counts as zero and NaN as nonzero."""
+    arr = np.asarray(coeffs)
+    return (arr.reshape(-1, arr.shape[-1]) != 0).any(axis=0)
+
+
+def haar_width(coeffs) -> int:
+    """The next power of two past the deepest live column of a coefficient
+    array or a stack of them: ``haar_cell_values`` of its first that many
+    columns gives every cell value of the whole array, or of its
+    zero-padding, which only repeat these, up to the sign of a zero."""
+    live = np.flatnonzero(live_columns(coeffs))
+    return 1 << (int(live[-1]) if live.size else 0).bit_length()
+
 
 def haar_cell_values(coeffs) -> np.ndarray:
     """Values of the Haar partial sum of a flattened coefficient array of

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -346,6 +347,90 @@ def test_max_type_diameter_equals_pairwise_scan():
         for x in cases:
             assert diameter_estimate(x, spec, b) == pairwise_max_type_diameter(x, spec, b)
         assert diameter_estimate(np.tile(row, (30, 1)), spec, b) == 0.0
+
+
+def zero_column_block(rng, rows, width, fill):
+    """A block with zero columns: ``fill`` "zero" is all zeros, "sparse"
+    keeps column k with chance about 4/k and zeroes some rows, among them a
+    run of 8 (a whole block of ``norm``'s when it takes 8 rows a block);
+    about a tenth of the entries are -0.0 either way."""
+    shape = (width,) if rows is None else (rows, width)
+    x = rng.standard_normal(shape)
+    if fill == "zero":
+        x[:] = 0.0
+    elif fill == "sparse":
+        x *= rng.random(width) < 4.0 / np.arange(1.0, width + 1.0)
+        if rows is not None:
+            x *= rng.random((rows, 1)) < 0.7
+            start = rng.integers(rows)
+            x[start:start + 8] = 0.0
+    x[rng.random(shape) < 0.1] = -0.0
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.one_of(st.none(), st.integers(1, 40)),
+       width=st.sampled_from([8, 32, 128]), fill=st.sampled_from(["zero", "sparse", "dense"]),
+       center_kind=st.sampled_from([None, "sparse", "dense", "tail"]), nan=st.booleans())
+def test_max_type_scans_equal_the_dense_scan_bit_for_bit(seed, rows, width, fill,
+                                                         center_kind, nan):
+    # The reference zero-pads to the whole 128-wide basis and reduces every
+    # column; blocks of 8 rows make most row counts cross a block boundary.
+    b = BasisSpec(sm.HAAR_WAVELET, 6)
+    rng = np.random.default_rng(seed)
+    x = zero_column_block(rng, rows, width, fill)
+    if nan:
+        x.flat[rng.integers(x.size)] = np.nan
+    center = None
+    if center_kind == "dense":
+        center = rng.standard_normal(b.size)
+    elif center_kind is not None:
+        center = np.zeros(b.size)
+        at = (rng.integers(16, size=4) if center_kind == "sparse"
+              else rng.integers(width // 2, b.size, size=3))   # nonzero past x
+        center[at] = rng.standard_normal(at.size)
+        center[rng.random(b.size) < 0.1] = -0.0
+    dense = np.zeros(x.shape[:-1] + (b.size,))
+    dense[..., :width] = x
+    d = dense - (0.0 if center is None else center)
+    w = WeightSequence.power_law(0.5, b.max_index)
+    want = {"multiscale": np.max(np.abs(d) / w.per_position(b), axis=-1),
+            "sup": np.max(np.abs(sm.haar_cell_values(d)), axis=-1)}
+    with mock.patch.object(sm, "NORM_BLOCK_VALUES", 64):
+        assert sm.block_rows(width) == 8
+        for spec in (NormSpec.multiscale(w), NormSpec.sup()):
+            got = sm.norm(x, spec, b, center=center)
+            assert np.shape(got) == np.shape(want[spec.kind])
+            assert np.asarray(got).tobytes() == want[spec.kind].tobytes(), spec.kind
+    if rows is not None and rows >= 2:
+        cells = sm.haar_cell_values(dense)
+        diam = np.max(cells.max(axis=0) - cells.min(axis=0))
+        assert (np.float64(diameter_estimate(x, NormSpec.sup(), b)).tobytes()
+                == diam.tobytes())
+
+
+def test_sup_scans_synthesise_only_the_live_width(monkeypatch):
+    # draws and center nonzero in their first 16 columns of 2048: three
+    # blocks of the sup norm and the sup diameter each build 16 cells a row
+    b = BasisSpec(sm.HAAR_WAVELET, 10)
+    rng = np.random.default_rng(3)
+    x = np.zeros((300, b.size))
+    x[:, :16] = rng.standard_normal((300, 16))
+    center = np.zeros(b.size)
+    center[:16] = rng.standard_normal(16)
+    widths = []
+
+    def recording(coeffs, real=sm.haar_cell_values):
+        widths.append(np.shape(coeffs)[-1])
+        return real(coeffs)
+
+    monkeypatch.setattr(sm, "haar_cell_values", recording)
+    monkeypatch.setattr(cset, "haar_cell_values", recording)
+    sm.norm(x, NormSpec.sup(), b, center=center)
+    assert widths == [16] * 3
+    widths.clear()
+    diameter_estimate(x, NormSpec.sup(), b)
+    assert widths == [16]
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23])

@@ -629,6 +629,21 @@ def test_cli_coverage_variant_errors_exit_2(tmp_path, capsys, flags, variant, me
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_cli_unwritable_out_is_a_config_error(tmp_path, capsys, monkeypatch, sub):
+    # --out naming a regular file, or a path under one, fails before the run
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    runs = []
+    monkeypatch.setattr(hz, "run_experiment", runs.append)
+    rc = cli.main(["coverage", "--n", "200", "--draws", "20", "--reps", "1",
+                   "--out", str(blocker / sub)])
+    assert rc == 2 and not runs
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "is not a directory" in err
+    assert "Traceback" not in err
+
+
 def test_cli_unknown_prior_is_a_config_error(tmp_path, capsys):
     argv = ["coverage", "--prior", "foo", "--out", str(tmp_path)]
     with pytest.raises(ValueError, match="unknown prior"):
